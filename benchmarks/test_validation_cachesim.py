@@ -14,8 +14,6 @@ positive.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from conftest import print_banner
 
@@ -64,20 +62,13 @@ def simulated_l1_bytes(tiles: dict[str, int] | None) -> int:
 
 
 def analytic_l1_bytes(tiles: dict[str, int] | None) -> float:
+    """L1 traffic of the sequential configuration, from the cost model's
+    per-level breakdown."""
     k = get_kernel("mm")
     region = extract_regions(k.function)[0]
     m = RegionCostModel(region, {"N": N}, TINY)
-    t = {v: (tiles or {}).get(v, N) for v in m.band}
-    t = {v: min(max(1, x), N) for v, x in t.items()}
-    trips = {v: math.ceil(N / t[v]) for v in m.band}
-    spans = m._unit_spans(t)
-    level = TINY.levels[0]
-    s_idx = m._fitting_unit(spans, level.size, level.line_size)
-    traffic = max(
-        m._unit_traffic(spans[s_idx], s_idx, t, trips, level.line_size),
-        m._compulsory_traffic({v: N for v in m.band}, level.line_size),
-    )
-    return traffic
+    row = np.array([[(tiles or {}).get(v, N) for v in m.band]])
+    return float(m.breakdown(row, np.array([1])).level_traffic[0][0])
 
 
 def rank_correlation(a: list[float], b: list[float]) -> float:

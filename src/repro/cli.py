@@ -30,9 +30,10 @@ import os
 import sys
 from pathlib import Path
 
-from repro.driver.compiler import TuningDriver
+from repro.driver.compiler import SizeBindingError, TuningDriver
 from repro.evaluation.disk_cache import DEFAULT_CACHE_DIR
 from repro.frontend.kernels import ALL_KERNELS, get_kernel
+from repro.frontend.parser import ParseError
 from repro.machine.model import BARCELONA, WESTMERE, machine_by_name
 from repro.obs import Observability, TraceError, trace_summary_for_path
 from repro.util.tables import Table
@@ -274,6 +275,13 @@ def _finish_obs(args, obs: Observability | None, meta: dict, out) -> None:
         print(obs.metrics.exposition(), file=out, end="")
 
 
+def _read_source(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _parse_sizes(entries: list[str]) -> dict[str, int]:
     sizes = {}
     for entry in entries:
@@ -353,7 +361,7 @@ def _cmd_tune(args, out) -> int:
             with_energy=args.energy,
         )
     else:
-        source = Path(args.path).read_text()
+        source = _read_source(args.path)
         if not sizes:
             raise SystemExit("tune-file requires --size bindings for the symbolic extents")
         tuned = driver.tune_source(
@@ -447,7 +455,7 @@ def _cmd_tune_multiregion(args, out, machine, obs, driver, sizes) -> int:
             raise SystemExit(
                 "tune-file requires --size bindings for the symbolic extents"
             )
-        fn = parse_function(Path(args.path).read_text())
+        fn = parse_function(_read_source(args.path))
         merged, name = sizes, fn.name
 
     result = driver.tune_multiregion(
@@ -667,6 +675,8 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
         if args.command == "serve-replay":
             return _cmd_serve_replay(args, out)
         return _cmd_tune(args, out)
+    except (SizeBindingError, ParseError) as exc:
+        raise SystemExit(str(exc)) from None
     except BrokenPipeError:
         # downstream closed early (| head, | less q) — not an error; point
         # stdout at devnull so the interpreter's exit flush stays quiet

@@ -20,6 +20,8 @@ Example::
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.analysis.regions import TunableRegion, extract_regions
@@ -33,6 +35,7 @@ from repro.evaluation.simulator import SimulatedTarget
 from repro.frontend.kernels import Kernel, get_kernel
 from repro.frontend.parser import parse_function
 from repro.ir.nodes import Function
+from repro.ir.types import I32, I64
 from repro.machine.model import MachineModel, WESTMERE
 from repro.obs import DISABLED, Observability
 from repro.optimizer.nsga2 import NSGA2
@@ -43,7 +46,46 @@ from repro.runtime.version_table import Version, VersionTable
 from repro.transform.skeleton import TransformationSkeleton, default_skeleton
 from repro.util.tables import Table
 
-__all__ = ["TuningDriver", "TunedKernel"]
+__all__ = ["SizeBindingError", "TuningDriver", "TunedKernel", "check_sizes"]
+
+
+class SizeBindingError(ValueError):
+    """Problem-size bindings a function cannot be tuned with."""
+
+
+def check_sizes(
+    fn: Function, sizes: dict[str, int], regions: Sequence[TunableRegion] = ()
+) -> None:
+    """Reject size bindings that name no integer parameter of *fn* or are
+    not positive integers, and bindings that leave a loop bound of one of
+    *regions* unbound or a loop of them without iterations.
+
+    :raises SizeBindingError: naming the first offending binding.
+    """
+    params = {name for name, t in fn.scalars.items() if t in (I64, I32)}
+    for name, value in sizes.items():
+        if name not in params:
+            known = ", ".join(sorted(params)) or "none"
+            raise SizeBindingError(
+                f"{fn.name} has no size parameter {name!r} (sizes: {known})"
+            )
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise SizeBindingError(f"size {name}={value!r} must be a positive integer")
+    for region in regions:
+        for loop in region.domain.loops:
+            symbols = set().union(
+                *(b.vars for b in (loop.lower, loop.upper) if b is not None)
+            )
+            missing = sorted((symbols & params) - set(sizes))
+            if missing:
+                raise SizeBindingError(
+                    f"{fn.name} needs size bindings for {', '.join(missing)}"
+                )
+            if symbols <= set(sizes) and loop.trip_count(sizes) < 1:
+                bound = " ".join(f"{k}={v}" for k, v in sizes.items())
+                raise SizeBindingError(
+                    f"{bound} leaves loop {loop.var!r} of {fn.name} without iterations"
+                )
 
 
 @dataclass
@@ -316,6 +358,7 @@ class TuningDriver:
         if not regions:
             raise ValueError(f"no tunable region found in {fn.name!r}")
         region = regions[region_index]
+        check_sizes(fn, sizes, [region])
         band = kernel.tile_loops if kernel is not None else None
         skeleton = default_skeleton(
             region, sizes, self.machine.total_cores, band=band

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.regions import extract_regions
+from repro.driver.compiler import check_sizes
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import MeasurementProtocol
 from repro.evaluation.parallel_eval import EngineStats, EvaluationEngine, FusedBatch
@@ -263,6 +264,7 @@ class MultiRegionTuner:
         regions = extract_regions(self.function)
         if not regions:
             raise ValueError(f"no tunable regions in {self.function.name!r}")
+        check_sizes(self.function, self.sizes, regions)
         problems = []
         for region in regions:
             skeleton = default_skeleton(

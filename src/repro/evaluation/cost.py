@@ -1,4 +1,4 @@
-"""Analytical execution-time model for tiled parallel loop nests.
+"""Analytical execution-time and energy model for tiled parallel loop nests.
 
 This is the simulation substrate standing in for the paper's physical
 Westmere and Barcelona machines (see DESIGN.md §2 for the substitution
@@ -28,6 +28,17 @@ sizes and a thread count, it predicts wall time from first principles:
    after collapsing — the mechanism that makes collapsing worthwhile and
    penalises huge tiles at large thread counts.
 
+4. **Energy.**  Active sockets draw idle power and busy cores active power
+   for the whole run; every DRAM byte costs a fixed energy.
+
+The model has a single, vectorized implementation:
+:meth:`RegionCostModel.breakdown` evaluates B configurations at once with
+NumPy and returns the time together with the components the energy model
+needs.  :meth:`~RegionCostModel.time_batch` and
+:meth:`~RegionCostModel.energy_batch` are views of one such evaluation, and
+the single-configuration :meth:`~RegionCostModel.time` and
+:meth:`~RegionCostModel.energy` are one-row batches.
+
 The model is deterministic; measurement noise is layered on top by
 :class:`repro.evaluation.simulator.SimulatedTarget`.
 """
@@ -35,8 +46,8 @@ The model is deterministic; measurement noise is layered on top by
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +55,8 @@ from repro.analysis.features import analyze_features
 from repro.analysis.polyhedral import AccessFunction, access_functions
 from repro.analysis.regions import TunableRegion
 from repro.machine.model import MachineModel
-from repro.machine.topology import place_threads
 
-__all__ = ["RegionCostModel", "Stream"]
+__all__ = ["CostBreakdown", "RegionCostModel", "Stream"]
 
 
 @dataclass(frozen=True)
@@ -67,37 +77,46 @@ class Stream:
     has_write: bool
     elem_size: int
 
-    def extents(self, spans: dict[str, int]) -> tuple[int, ...]:
-        """Data extent touched per dimension when each loop var covers
-        ``spans[var]`` consecutive values."""
-        out = []
-        for coeffs, extra in zip(self.coeff_dims, self.const_span):
-            extent = 1 + extra
-            for var, coeff in coeffs:
-                extent += abs(coeff) * (spans.get(var, 1) - 1)
-            out.append(extent)
-        return tuple(out)
 
-    def footprint_lines(self, spans: dict[str, int], line_elems: int) -> float:
-        """Cache lines touched per unit execution (line granularity on the
-        innermost dimension only — outer dimensions are strided)."""
-        ext = self.extents(spans)
-        lines = math.ceil(ext[-1] / line_elems) if ext else 1
-        for e in ext[:-1]:
-            lines *= e
-        return float(lines)
+class CostBreakdown(NamedTuple):
+    """One evaluation of the model over B configurations (arrays of
+    shape ``(B,)``)."""
 
-    def footprint_bytes(self, spans: dict[str, int], line_size: int) -> float:
-        line_elems = max(1, line_size // self.elem_size)
-        return self.footprint_lines(spans, line_elems) * line_size
+    #: predicted seconds per kernel invocation
+    time: np.ndarray
+    #: bytes filled into each cache level per sweep, in ``machine.levels``
+    #: order
+    level_traffic: tuple[np.ndarray, ...]
+    #: DRAM bytes moved by the whole invocation (all sweeps, all threads)
+    dram_bytes: np.ndarray
+    #: sockets holding at least one thread
+    active_sockets: np.ndarray
+
+
+class _Extents(NamedTuple):
+    """Per-dimension data extents of one stream over a stack of spans:
+    the product of the outer dimensions (None for rank <= 1) and the
+    innermost extent (1 for rank 0)."""
+
+    outer: np.ndarray | None
+    inner: np.ndarray
+
+    def footprint(self, line_size: int, elem_size: int) -> np.ndarray:
+        """Bytes touched, counted in whole lines on the innermost
+        dimension only — outer dimensions are strided."""
+        lines = np.ceil(self.inner / max(1, line_size // elem_size))
+        if self.outer is not None:
+            lines = self.outer * lines
+        return lines * line_size
 
 
 class RegionCostModel:
-    """Predicts region execution time on a machine for (tiles, threads).
+    """Predicts region execution time and energy on a machine for
+    (tiles, threads).
 
-    The constructor performs all per-region analysis once; :meth:`time` is a
-    cheap arithmetic evaluation suitable for O(10^5) calls in brute-force
-    sweeps.
+    The constructor performs all per-region analysis once; evaluation is
+    NumPy arithmetic over a batch of configurations, suitable for the
+    O(10^5)-point grids of brute-force sweeps.
 
     :param region: the tunable region (untransformed nest).
     :param bindings: problem-size values for all symbolic extents.
@@ -143,6 +162,7 @@ class RegionCostModel:
         self._elem_size = max(
             (at.elem.size for at in arrays.values()), default=8
         )
+        self._ext = np.array([self.extent[v] for v in self.band], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # stream extraction
@@ -191,327 +211,42 @@ class RegionCostModel:
             )
         return tuple(streams)
 
+    def _extents(self, stream: Stream, spans: np.ndarray) -> _Extents:
+        """Data extents of *stream* when each band var covers ``spans[...,
+        pos]`` consecutive values (spans of shape (..., n))."""
+        dims = []
+        for coeffs, extra in zip(stream.coeff_dims, stream.const_span):
+            e = np.full(spans.shape[:-1], 1 + extra, dtype=np.float64)
+            for var, coeff in coeffs:
+                e = e + abs(coeff) * (spans[..., self.band.index(var)] - 1)
+            dims.append(e)
+        if not dims:
+            return _Extents(None, np.ones(spans.shape[:-1]))
+        outer = None
+        for e in dims[:-1]:
+            outer = e if outer is None else outer * e
+        return _Extents(outer, dims[-1])
+
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
 
-    def time(
-        self,
-        tile_sizes: dict[str, int],
-        threads: int,
-        collapsed: int | None = None,
-    ) -> float:
-        """Predicted wall time in seconds for one kernel invocation.
-
-        :param tile_sizes: tile size per band var; vars omitted default to
-            their full extent (``tile_sizes={}`` models the untiled code).
-        :param threads: worksharing thread count (1 = sequential, no
-            parallel overhead).
-        :param collapsed: how many outer tile loops are collapsed into the
-            worksharing loop; overrides the constructor's ``parallel_spec``.
-        """
-        return self._evaluate(tile_sizes, threads, collapsed)["time"]
-
-    def energy(
-        self,
-        tile_sizes: dict[str, int],
-        threads: int,
-        collapsed: int | None = None,
-    ) -> float:
-        """Predicted energy in joules for one kernel invocation.
-
-        Power model: active sockets draw their idle/uncore power for the
-        whole run, each busy core adds its active power, and every byte
-        moved from DRAM costs a fixed energy (see the machine's
-        ``*_power``/``dram_energy_per_byte`` parameters).  Energy is the
-        paper's third example objective (§III-B1) and exhibits its own
-        optimum: few threads waste idle power over a long runtime, many
-        threads burn core power against sublinear speedup.
-        """
-        parts = self._evaluate(tile_sizes, threads, collapsed)
-        machine = self.machine
-        placement = parts["placement"]
-        t = parts["time"]
-        power = (
-            placement.active_sockets * machine.idle_power_per_socket
-            + threads * machine.active_power_per_core
-        )
-        dram_bytes = parts["dram_bytes_total"]
-        return t * power + dram_bytes * machine.dram_energy_per_byte
-
-    def _evaluate(
-        self,
-        tile_sizes: dict[str, int],
-        threads: int,
-        collapsed: int | None = None,
-    ) -> dict:
-        """Shared scalar evaluation: returns time plus the component values
-        the energy model needs."""
-        machine = self.machine
-        tiles = {v: int(min(max(1, tile_sizes.get(v, self.extent[v])), self.extent[v]))
-                 for v in self.band}
-        trips = {v: math.ceil(self.extent[v] / tiles[v]) for v in self.band}
-
-        placement = place_threads(machine, threads)
-
-        # ---- load imbalance over the worksharing loop --------------------
-        par_iters, invocations = self._parallel_structure(tiles, trips, collapsed)
-        if threads > 1:
-            chunks = math.ceil(par_iters / threads)
-            share = chunks / par_iters  # busiest thread's work fraction
-        else:
-            share = 1.0
-
-        # ---- traffic per cache level -------------------------------------
-        spans_units = self._unit_spans(tiles)
-        whole_spans = {v: self.extent[v] for v in self.band}
-
-        level_traffic: list[float] = []
-        prev = math.inf
-        for level in machine.levels:
-            if level.shared:
-                cap_unit = level.size / placement.max_threads_per_socket
-                cap_whole = float(level.size)
-            else:
-                cap_unit = float(level.size)
-                cap_whole = float(level.size)
-
-            ws_whole = sum(
-                s.footprint_bytes(whole_spans, level.line_size) for s in self.streams
-            )
-            if ws_whole <= cap_whole:
-                traffic = self._compulsory_traffic(whole_spans, level.line_size)
-            else:
-                s_idx = self._fitting_unit(spans_units, cap_unit, level.line_size)
-                traffic = self._unit_traffic(
-                    spans_units[s_idx], s_idx, tiles, trips, level.line_size
-                )
-                compulsory = self._compulsory_traffic(whole_spans, level.line_size)
-                traffic = max(traffic, compulsory)
-            traffic = min(traffic, prev) if level_traffic else traffic
-            prev = traffic
-            level_traffic.append(traffic)
-
-        # ---- per-thread times --------------------------------------------
-        freq = machine.freq_hz
-        flops = self.flops_per_iteration * self.total_iterations
-        compute_t = flops * share / (machine.flops_per_cycle * freq)
-
-        loop_iters, loop_entries = self._loop_overhead_counts(tiles, trips)
-        overhead_t = (
-            loop_iters * machine.loop_overhead_cycles
-            + loop_entries * machine.loop_entry_cycles
-        ) * share / freq
-
-        mem_times = []
-        for level, traffic in zip(machine.levels, level_traffic):
-            mem_times.append(traffic * share / level.fetch_bw)
-
-        # TLB: same reuse-unit machinery at page granularity; column walks
-        # through more pages than the TLB holds pay a walk per new page.
-        tlb_idx = self._fitting_unit(spans_units, machine.tlb_reach, machine.page_size)
-        tlb_ws_whole = sum(
-            s.footprint_bytes(whole_spans, machine.page_size) for s in self.streams
-        )
-        tlb_compulsory = self._compulsory_traffic(whole_spans, machine.page_size)
-        if tlb_ws_whole <= machine.tlb_reach:
-            tlb_traffic = tlb_compulsory
-        else:
-            tlb_traffic = max(
-                self._unit_traffic(
-                    spans_units[tlb_idx], tlb_idx, tiles, trips, machine.page_size
-                ),
-                tlb_compulsory,
-            )
-        tlb_misses = tlb_traffic / machine.page_size
-        overhead_t += tlb_misses * machine.tlb_miss_cycles * share / freq
-
-        dram_traffic = level_traffic[-1]
-        mem_times.append(dram_traffic * share / machine.dram_bw_per_core)
-        per_socket_threads = placement.max_threads_per_socket
-        mem_times.append(
-            dram_traffic * share * per_socket_threads / machine.dram_bw_per_socket
-        )
-
-        # roofline with a residual: compute and memory mostly overlap, but
-        # a fraction of the smaller term stays exposed (out-of-order windows
-        # are finite) — this keeps secondary traffic gradients visible even
-        # for compute-bound configurations
-        work_t = compute_t + overhead_t
-        mem_t = max(mem_times)
-        busy = max(work_t, mem_t) + machine.mem_overlap_residual * min(work_t, mem_t)
-
-        # coherence / NUMA tax: populated sockets contend on shared chip
-        # resources; extra active sockets add snoop/cross-socket coherence
-        # cost.  This (plus DRAM saturation and imbalance) produces the
-        # efficiency decay of the paper's Table III.
-        if threads > 1:
-            cps = machine.cores_per_socket
-            fill = (placement.max_threads_per_socket - 1) / max(1, cps - 1)
-            tax = 1.0 + machine.smp_tax * fill
-            tax += machine.numa_tax * (placement.active_sockets - 1)
-            busy *= tax
-            busy += (
-                machine.fork_join_base + machine.fork_join_per_thread * threads
-            ) * invocations
-
-        return {
-            "time": busy * self.sweep_factor,
-            "placement": placement,
-            # total DRAM bytes moved by the whole run (all threads)
-            "dram_bytes_total": dram_traffic * self.sweep_factor,
-            "share": share,
-        }
-
-    def _parallel_structure(
-        self,
-        tiles: dict[str, int],
-        trips: dict[str, int],
-        collapsed: int | None,
-    ) -> tuple[int, int]:
-        """(worksharing iteration count P, parallel-region invocations per
-        kernel call) under the configured parallel spec."""
-        spec = self.parallel_spec
-        if collapsed is not None:
-            spec = ("collapse", collapsed)
-        if spec is None:
-            spec = ("collapse", min(2, len(self.band)))
-        kind, arg = spec
-        if kind == "collapse":
-            n = max(1, min(int(arg or 1), len(self.band)))
-            par = 1
-            for v in self.band[:n]:
-                par *= trips[v]
-            return par, 1
-        if kind == "tile":
-            return trips[str(arg)], 1
-        if kind == "point":
-            var = str(arg)
-            # one fork/join per iteration of the enclosing tile loops (the
-            # tile loops of all tiled vars sit above the point loop)
-            invocations = 1
-            for v in self.band:
-                if v != var and tiles[v] < self.extent[v]:
-                    invocations *= trips[v]
-            return self.extent[var], invocations
-        if kind == "none":
-            return 1, 1
-        raise ValueError(f"unknown parallel spec {spec!r}")
-
-    # -- helpers ----------------------------------------------------------
-
-    def _unit_spans(self, tiles: dict[str, int]) -> list[dict[str, int]]:
-        """Spans of the reuse units: index ``s`` fixes the first ``s`` band
-        vars (span 1) and lets the rest cover a full tile."""
-        units = []
-        for s in range(len(self.band) + 1):
-            spans = {}
-            for pos, v in enumerate(self.band):
-                spans[v] = 1 if pos < s else tiles[v]
-            units.append(spans)
-        return units
-
-    def _fitting_unit(
-        self, spans_units: list[dict[str, int]], capacity: float, line_size: int
-    ) -> int:
-        for s, spans in enumerate(spans_units):
-            ws = sum(s_.footprint_bytes(spans, line_size) for s_ in self.streams)
-            if ws <= capacity:
-                return s
-        return len(spans_units) - 1
-
-    def _unit_traffic(
-        self,
-        spans: dict[str, int],
-        s_idx: int,
-        tiles: dict[str, int],
-        trips: dict[str, int],
-        line_size: int,
-    ) -> float:
-        """Total traffic when the reuse unit is the point-loop suffix at
-        depth ``s_idx``.
-
-        Per stream: let ``d`` be the innermost loop outside the unit the
-        stream depends on (outer sequence = all tile loops, then the point
-        loops above the unit).  The stream is re-fetched once per combined
-        iteration of the loops *outside* ``d``; loop ``d`` itself is merged
-        into the footprint (its span expanded by its iteration count), so
-        that consecutive fetches along a contiguous dimension share cache
-        lines instead of paying a full line each — this is what makes a
-        column walk (``B[k][j]`` untiled) expensive and a row walk cheap."""
-        outer: list[tuple[str, int]] = [(v, trips[v]) for v in self.band]
-        outer += [(v, tiles[v]) for v in self.band[:s_idx]]
-
-        total = 0.0
-        for stream in self.streams:
-            depth = -1
-            for idx, (v, _count) in enumerate(outer):
-                if v in stream.depends:
-                    depth = idx
-            if depth < 0:
-                bytes_total = stream.footprint_bytes(spans, line_size)
-            else:
-                fetches = 1.0
-                for idx in range(depth):
-                    fetches *= outer[idx][1]
-                d_var, d_count = outer[depth]
-                expanded = dict(spans)
-                expanded[d_var] = min(
-                    self.extent[d_var], d_count * spans.get(d_var, 1)
-                )
-                bytes_total = fetches * stream.footprint_bytes(expanded, line_size)
-            weight = 2.0 if stream.has_write else 1.0
-            total += bytes_total * weight
-        return total
-
-    def _compulsory_traffic(self, whole_spans: dict[str, int], line_size: int) -> float:
-        """Cold-miss floor: every touched line once (twice for written
-        streams — fetch plus writeback)."""
-        total = 0.0
-        for stream in self.streams:
-            weight = 2.0 if stream.has_write else 1.0
-            total += stream.footprint_bytes(whole_spans, line_size) * weight
-        return total
-
-    def _loop_overhead_counts(
-        self, tiles: dict[str, int], trips: dict[str, int]
-    ) -> tuple[float, float]:
-        """(iterations of non-innermost loops, loop entries) of the tiled
-        nest — tile loops outermost, point loops inside.  Innermost-loop
-        bookkeeping is folded into the machine's sustained flop rate, so
-        only outer-level iterations and loop entries (bound computation,
-        branch misprediction on exit) are charged."""
-        counts = [trips[v] for v in self.band] + [tiles[v] for v in self.band]
-        iters = 0.0
-        entries = 1.0
-        cumulative = 1.0
-        for level, c in enumerate(counts):
-            entries += cumulative
-            cumulative *= c
-            if level < len(counts) - 1:
-                iters += cumulative
-        return iters, entries
-
-    # ------------------------------------------------------------------
-    # vectorized batch evaluation
-    # ------------------------------------------------------------------
-    #
-    # Identical semantics to :meth:`time`, evaluated for B configurations at
-    # once with NumPy.  Brute-force sweeps (the paper's 10^4..10^5 point
-    # grids) and heatmap generation use this path; a property-based test
-    # asserts scalar/batch agreement.
-
-    def time_batch(
+    def breakdown(
         self,
         tiles: np.ndarray,
         threads: np.ndarray,
         collapsed: int | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`time`.
+    ) -> CostBreakdown:
+        """Evaluate B configurations.
 
-        :param tiles: int array (B, len(band)) — tile sizes in band order.
-        :param threads: int array (B,).
-        :returns: float array (B,) of seconds.
+        :param tiles: int array (B, len(band)) — tile sizes in band order,
+            clipped into ``[1, extent]``.
+        :param threads: int array (B,) of worksharing thread counts (1 =
+            sequential, no parallel overhead).
+        :param collapsed: how many outer tile loops are collapsed into the
+            worksharing loop; overrides the constructor's ``parallel_spec``.
+        :raises ValueError: on misshapen input or a thread count outside
+            ``[1, machine.total_cores]``.
         """
         machine = self.machine
         band = self.band
@@ -523,30 +258,37 @@ class RegionCostModel:
         B = tiles.shape[0]
         if threads.shape != (B,):
             raise ValueError("threads must have shape (B,)")
+        if B and (threads.min() < 1 or threads.max() > machine.total_cores):
+            raise ValueError(
+                f"thread counts must lie in [1, {machine.total_cores}] "
+                f"on {machine.name}"
+            )
 
-        ext = np.array([self.extent[v] for v in band], dtype=np.int64)
+        ext = self._ext
         t = np.clip(tiles, 1, ext[None, :])
         trips = -(-ext[None, :] // t)  # ceil div, (B, n)
 
-        # thread placement (vectorized over the few distinct thread counts)
+        # thread placement: sockets fill one after another
         cps = machine.cores_per_socket
         max_per_socket = np.minimum(threads, cps)
         active_sockets = -(-threads // cps)
 
-        # worksharing structure per the parallel spec
+        # ---- load imbalance over the worksharing loop --------------------
         spec = self.parallel_spec
         if collapsed is not None:
             spec = ("collapse", collapsed)
         if spec is None:
             spec = ("collapse", min(2, n))
         kind, arg = spec
-        invocations = np.ones(B)
+        invocations = np.ones(B)  # parallel regions entered per kernel call
         if kind == "collapse":
             depth = max(1, min(int(arg or 1), n))
             par_iters = np.prod(trips[:, :depth], axis=1)
         elif kind == "tile":
             par_iters = trips[:, band.index(str(arg))]
         elif kind == "point":
+            # one fork/join per iteration of the enclosing tile loops (the
+            # tile loops of all tiled vars sit above the point loop)
             pos = band.index(str(arg))
             par_iters = np.full(B, ext[pos])
             for j in range(n):
@@ -558,110 +300,92 @@ class RegionCostModel:
             raise ValueError(f"unknown parallel spec {spec!r}")
         share = np.where(
             threads > 1, np.ceil(par_iters / threads) / par_iters, 1.0
-        )
+        )  # busiest thread's work fraction
 
-        # spans per unit: (n_units, B, n)
-        n_units = n + 1
-        spans = np.empty((n_units, B, n), dtype=np.int64)
-        for s in range(n_units):
-            spans[s] = t
+        # ---- traffic per cache level -------------------------------------
+        # Reuse unit s (0..n) fixes the first s band vars (span 1) and lets
+        # the rest cover a full tile; row n + 1 is the whole problem.
+        spans = np.repeat(t[None, :, :], n + 2, axis=0)
+        for s in range(1, n + 1):
             spans[s, :, :s] = 1
-        whole = np.broadcast_to(ext[None, :], (B, n))
+        spans[n + 1] = ext
+        # A stream is re-fetched once per combined iteration of the loops
+        # outside the innermost loop d it depends on: all tile loops, then
+        # the point loops above the unit.  Loop d itself is merged into the
+        # footprint (its span expanded by its iteration count), so that
+        # consecutive fetches along a contiguous dimension share cache lines
+        # instead of paying a full line each — this is what makes a column
+        # walk (``B[k][j]`` untiled) expensive and a row walk cheap.
+        loops = [trips[:, i] for i in range(n)] + [t[:, i] for i in range(n)]
+        prefix = [np.ones(B)]  # prefix[k]: product of the first k loop counts
+        for counts in loops[:-1]:
+            prefix.append(prefix[-1] * counts)
+        plain, refetched = [], []
+        for stream in self.streams:
+            plain.append(self._extents(stream, spans))
+            deps = [pos for pos, v in enumerate(band) if v in stream.depends]
+            fetches = np.ones((n + 1, B))
+            expanded = spans[: n + 1].copy()
+            for s in range(n + 1):
+                if not deps:
+                    break
+                inner = [pos for pos in deps if pos < s]
+                pos = (inner or deps)[-1]
+                depth = n + pos if inner else pos  # its point or tile loop
+                fetches[s] = prefix[depth]
+                expanded[s, :, pos] = np.minimum(ext[pos], loops[depth] * spans[s, :, pos])
+            weight = 2.0 if stream.has_write else 1.0
+            refetched.append((weight, weight * fetches, self._extents(stream, expanded)))
 
-        def fp_bytes(stream: Stream, sp: np.ndarray, line_size: int) -> np.ndarray:
-            """Footprint bytes for spans sp (..., n)."""
-            line_elems = max(1, line_size // stream.elem_size)
-            lines = None
-            ndim = len(stream.coeff_dims)
-            for d, (coeffs, extra) in enumerate(
-                zip(stream.coeff_dims, stream.const_span)
-            ):
-                e = np.full(sp.shape[:-1], 1 + extra, dtype=np.float64)
-                for var, coeff in coeffs:
-                    pos = band.index(var)
-                    e = e + abs(coeff) * (sp[..., pos] - 1)
-                if d == ndim - 1:
-                    e = np.ceil(e / line_elems)
-                lines = e if lines is None else lines * e
-            if lines is None:
-                lines = np.ones(sp.shape[:-1])
-            return lines * line_size
+        per_line: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-        def unit_traffic(s: int, line_size: int) -> np.ndarray:
-            """Traffic (B,) for reuse unit s at the given line size."""
-            # outer sequence: n tile loops (counts=trips), s point loops (counts=t)
-            out_counts = [trips[:, i] for i in range(n)] + [t[:, i] for i in range(s)]
-            out_vars = list(band) + list(band[:s])
-            total = np.zeros(B)
-            sp = spans[s]
-            for stream in self.streams:
-                depth = -1
-                for idx, v in enumerate(out_vars):
-                    if v in stream.depends:
-                        depth = idx
-                weight = 2.0 if stream.has_write else 1.0
-                if depth < 0:
-                    total += weight * fp_bytes(stream, sp, line_size)
-                    continue
-                fetches = np.ones(B)
-                for idx in range(depth):
-                    fetches = fetches * out_counts[idx]
-                d_var = out_vars[depth]
-                pos = band.index(d_var)
-                expanded = sp.copy()
-                expanded[:, pos] = np.minimum(
-                    ext[pos], out_counts[depth] * sp[:, pos]
-                )
-                total += weight * fetches * fp_bytes(stream, expanded, line_size)
-            return total
-
-        def compulsory(line_size: int) -> np.ndarray:
-            total = np.zeros(B)
-            for stream in self.streams:
-                weight = 2.0 if stream.has_write else 1.0
-                total += weight * fp_bytes(stream, whole, line_size)
-            return total
-
-        def level_traffic_for(capacity: np.ndarray, cap_whole: float, line_size: int) -> np.ndarray:
-            ws_units = np.zeros((n_units, B))
-            for s in range(n_units):
-                for stream in self.streams:
-                    ws_units[s] += fp_bytes(stream, spans[s], line_size)
-            # smallest s whose working set fits; fallback: last unit
-            fits = ws_units <= capacity[None, :]
-            s_star = np.where(fits.any(axis=0), fits.argmax(axis=0), n_units - 1)
-            traffic = np.zeros(B)
-            comp = compulsory(line_size)
-            for s in range(n_units):
-                mask = s_star == s
-                if mask.any():
-                    traffic[mask] = unit_traffic(s, line_size)[mask]
-            traffic = np.maximum(traffic, comp)
-            ws_whole = np.zeros(B)
-            for stream in self.streams:
-                ws_whole += fp_bytes(stream, whole, line_size)
-            whole_fits = ws_whole <= cap_whole
-            traffic[whole_fits] = comp[whole_fits]
-            return traffic
+        def traffic_into(line_size: int, capacity, whole_capacity: float) -> np.ndarray:
+            """Traffic (B,) into a level holding *capacity* bytes of a unit:
+            that of the first unit whose working set fits (else the last),
+            floored at the compulsory traffic — every touched line once,
+            twice for written streams — which is all there is when the
+            whole problem fits *whole_capacity*."""
+            if line_size not in per_line:
+                ws = np.zeros((n + 2, B))
+                unit_traffic = np.zeros((n + 1, B))
+                compulsory = np.zeros(B)
+                for stream, extents, (weight, weighted_fetches, expanded) in zip(
+                    self.streams, plain, refetched
+                ):
+                    fp = extents.footprint(line_size, stream.elem_size)
+                    ws += fp
+                    compulsory += weight * fp[n + 1]
+                    unit_traffic += weighted_fetches * expanded.footprint(
+                        line_size, stream.elem_size
+                    )
+                per_line[line_size] = ws, unit_traffic, compulsory
+            ws, unit_traffic, compulsory = per_line[line_size]
+            fits = ws[: n + 1] <= capacity
+            chosen = np.where(fits.any(axis=0), fits.argmax(axis=0), n)
+            traffic = np.take_along_axis(unit_traffic, chosen[None, :], axis=0)[0]
+            traffic = np.maximum(traffic, compulsory)
+            return np.where(ws[n + 1] <= whole_capacity, compulsory, traffic)
 
         level_traffic = []
         prev = None
         for level in machine.levels:
-            if level.shared:
-                cap_unit = level.size / max_per_socket
-            else:
-                cap_unit = np.full(B, float(level.size))
-            traffic = level_traffic_for(cap_unit, float(level.size), level.line_size)
+            cap_unit = (
+                level.size / max_per_socket if level.shared else float(level.size)
+            )
+            traffic = traffic_into(level.line_size, cap_unit, float(level.size))
             if prev is not None:
                 traffic = np.minimum(traffic, prev)
             prev = traffic
             level_traffic.append(traffic)
 
+        # ---- per-thread times --------------------------------------------
         freq = machine.freq_hz
         flops = self.flops_per_iteration * self.total_iterations
         compute_t = flops * share / (machine.flops_per_cycle * freq)
 
-        # loop overhead (non-innermost iterations + entries)
+        # loop overhead: iterations of non-innermost loops plus loop entries
+        # of the tiled nest (tile loops outermost, point loops inside).
+        # Innermost-loop bookkeeping is folded into the sustained flop rate.
         counts = [trips[:, i] for i in range(n)] + [t[:, i].astype(float) for i in range(n)]
         iters = np.zeros(B)
         entries = np.ones(B)
@@ -675,9 +399,10 @@ class RegionCostModel:
             iters * machine.loop_overhead_cycles + entries * machine.loop_entry_cycles
         ) * share / freq
 
-        # TLB
-        tlb_cap = np.full(B, float(machine.tlb_reach))
-        tlb_traffic = level_traffic_for(tlb_cap, float(machine.tlb_reach), machine.page_size)
+        # TLB: same reuse-unit machinery at page granularity; column walks
+        # through more pages than the TLB holds pay a walk per new page.
+        reach = float(machine.tlb_reach)
+        tlb_traffic = traffic_into(machine.page_size, reach, reach)
         overhead_t += (
             tlb_traffic / machine.page_size * machine.tlb_miss_cycles * share / freq
         )
@@ -692,6 +417,10 @@ class RegionCostModel:
             dram_traffic * share * max_per_socket / machine.dram_bw_per_socket
         )
 
+        # roofline with a residual: compute and memory mostly overlap, but
+        # a fraction of the smaller term stays exposed (out-of-order windows
+        # are finite) — this keeps secondary traffic gradients visible even
+        # for compute-bound configurations
         work_t = compute_t + overhead_t
         mem_t = mem_times[0]
         for mt in mem_times[1:]:
@@ -700,6 +429,10 @@ class RegionCostModel:
             work_t, mem_t
         )
 
+        # coherence / NUMA tax: populated sockets contend on shared chip
+        # resources; extra active sockets add snoop/cross-socket coherence
+        # cost.  This (plus DRAM saturation and imbalance) produces the
+        # efficiency decay of the paper's Table III.
         par_mask = threads > 1
         fill = (max_per_socket - 1) / max(1, cps - 1)
         tax = 1.0 + machine.smp_tax * fill + machine.numa_tax * (active_sockets - 1)
@@ -711,7 +444,80 @@ class RegionCostModel:
             * invocations,
             busy,
         )
-        return busy * self.sweep_factor
+        return CostBreakdown(
+            time=busy * self.sweep_factor,
+            level_traffic=tuple(level_traffic),
+            dram_bytes=dram_traffic * self.sweep_factor,
+            active_sockets=active_sockets,
+        )
+
+    def time_batch(
+        self,
+        tiles: np.ndarray,
+        threads: np.ndarray,
+        collapsed: int | None = None,
+    ) -> np.ndarray:
+        """Predicted seconds per invocation, float array (B,); arguments as
+        in :meth:`breakdown`."""
+        return self.breakdown(tiles, threads, collapsed).time
+
+    def energy_batch(
+        self,
+        tiles: np.ndarray,
+        threads: np.ndarray,
+        collapsed: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(seconds, joules) per invocation, float arrays (B,), from one
+        evaluation; arguments as in :meth:`breakdown`.
+
+        Power model: active sockets draw their idle/uncore power for the
+        whole run, each busy core adds its active power, and every byte
+        moved from DRAM costs a fixed energy (see the machine's
+        ``*_power``/``dram_energy_per_byte`` parameters).  Energy is the
+        paper's third example objective (§III-B1) and exhibits its own
+        optimum: few threads waste idle power over a long runtime, many
+        threads burn core power against sublinear speedup.
+        """
+        parts = self.breakdown(tiles, threads, collapsed)
+        machine = self.machine
+        power = (
+            parts.active_sockets * machine.idle_power_per_socket
+            + np.asarray(threads, dtype=np.int64) * machine.active_power_per_core
+        )
+        energy = parts.time * power + parts.dram_bytes * machine.dram_energy_per_byte
+        return parts.time, energy
+
+    def _row(self, tile_sizes: dict[str, int]) -> np.ndarray:
+        """One-row tiles array; vars omitted default to their full extent."""
+        return np.array(
+            [[tile_sizes.get(v, self.extent[v]) for v in self.band]], dtype=np.int64
+        )
+
+    def time(
+        self,
+        tile_sizes: dict[str, int],
+        threads: int,
+        collapsed: int | None = None,
+    ) -> float:
+        """Predicted wall time in seconds for one kernel invocation.
+
+        :param tile_sizes: tile size per band var; vars omitted default to
+            their full extent (``tile_sizes={}`` models the untiled code).
+        :param threads: worksharing thread count.
+        :param collapsed: as in :meth:`breakdown`.
+        """
+        return float(self.time_batch(self._row(tile_sizes), [threads], collapsed)[0])
+
+    def energy(
+        self,
+        tile_sizes: dict[str, int],
+        threads: int,
+        collapsed: int | None = None,
+    ) -> float:
+        """Predicted energy in joules for one kernel invocation (see
+        :meth:`energy_batch`); arguments as in :meth:`time`."""
+        _, energy = self.energy_batch(self._row(tile_sizes), [threads], collapsed)
+        return float(energy[0])
 
     # ------------------------------------------------------------------
     # identity
@@ -761,5 +567,3 @@ class RegionCostModel:
         """Sequential untiled execution ("GCC -O3" reference row)."""
         return self.time({}, threads=1)
 
-    def sequential_time(self, tile_sizes: dict[str, int]) -> float:
-        return self.time(tile_sizes, threads=1)

@@ -5,8 +5,11 @@ with run-to-run measurement noise and the median-of-k protocol the paper
 uses (§V-B1).  Noise is *hash-derived*: each (configuration, repetition)
 pair maps through a keyed blake2b hash to a uniform variate, which the
 inverse normal CDF turns into a lognormal factor.  This makes measurements
-fully deterministic, independent of evaluation order, and identical between
-the scalar and the vectorized batch paths.
+fully deterministic and independent of evaluation order and of how a batch
+is chunked.  :meth:`SimulatedTarget.compute_keys` is the only code that
+produces a measurement: it takes times (and energies) from one vectorized
+cost-model evaluation per chunk, and single-configuration
+:meth:`SimulatedTarget.evaluate` is a one-key chunk.
 
 The target also keeps the evaluation ledger: ``evaluations`` is the metric
 ``E`` of the paper's Table VI ("the number of points evaluated for obtaining
@@ -34,18 +37,18 @@ parameters), never the ledger, lock, or cache handle.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time as _time
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import Measurement, MeasurementProtocol
 from repro.evaluation.objectives import Objectives
-from repro.util.rng import seed_hasher, spawn_seed, spawn_seed_from
-from repro.util.stats import median
+from repro.util.rng import seed_hasher, spawn_seed_from
+from repro.util.stats import ndtri
 
 __all__ = ["SimulatedTarget"]
 
@@ -169,24 +172,14 @@ class SimulatedTarget:
 
     # -- noise ----------------------------------------------------------
 
-    def _noise_factors(self, key: tuple, reps: int) -> np.ndarray:
-        """Deterministic lognormal factors for each repetition of *key*."""
-        u = np.array(
-            [
-                (spawn_seed(self.seed, key, rep) + 0.5) / _U64
-                for rep in range(reps)
-            ]
-        )
-        return np.exp(self.noise * ndtri(u))
-
     def _noise_factor_matrix(self, keys: Sequence[tuple], reps: int) -> np.ndarray:
         """(len(keys), reps) lognormal factors in one batch.
 
-        Bit-identical to stacking :meth:`_noise_factors` per key (asserted
-        by ``tests/test_evaluation.py``): the seed prefix is hashed once and
-        forked per (key, repetition) suffix — the same byte stream blake2b
-        sees in :func:`~repro.util.rng.spawn_seed` — and the inverse-CDF /
-        exp transform runs elementwise over the whole matrix.
+        Entry ``(i, rep)`` is ``exp(noise * ndtri(u))`` with ``u`` derived
+        from ``spawn_seed(seed, keys[i], rep)``: the seed prefix is hashed
+        once and forked per (key, repetition) suffix — the same byte stream
+        blake2b sees in :func:`~repro.util.rng.spawn_seed` — and the
+        inverse-CDF / exp transform runs elementwise over the whole matrix.
         """
         prefix = seed_hasher(self.seed)
         u = np.empty((len(keys), reps), dtype=float)
@@ -217,9 +210,12 @@ class SimulatedTarget:
             return []
         tiles = np.array([k[:-1] for k in keys], dtype=np.int64)
         threads = np.array([k[-1] for k in keys], dtype=np.int64)
-        true_times = np.asarray(
-            self.model.time_batch(tiles, threads, collapsed=self.collapsed)
-        )
+        if self.measure_energy:
+            true_times, true_energies = self.model.energy_batch(
+                tiles, threads, collapsed=self.collapsed
+            )
+        else:
+            true_times = self.model.time_batch(tiles, threads, collapsed=self.collapsed)
         reps = self.protocol.repetitions
         overhead = self.protocol.overhead_s
         if overhead > 0:
@@ -240,11 +236,9 @@ class SimulatedTarget:
             if self.measure_energy:
                 # energy measurements share the run's jitter: scale the
                 # model energy by the same median noise factor as the time
-                tile_map = {v: int(x) for v, x in zip(self.band, key[:-1])}
-                true_energy = self.model.energy(
-                    tile_map, int(key[-1]), collapsed=self.collapsed
+                energy = float(
+                    true_energies[b] * (measurement.value / true_times[b])
                 )
-                energy = true_energy * (measurement.value / true_times[b])
             obj = Objectives(
                 time=measurement.value, threads=int(key[-1]), energy=energy
             )
@@ -261,7 +255,15 @@ class SimulatedTarget:
     def commit(self, key: tuple, obj: Objectives, measurement: Measurement) -> bool:
         """Record a computed measurement in the ledger; returns whether the
         key was new (and therefore counted towards ``E``).  Atomic: a key
-        can never be counted twice, and no increment is ever lost."""
+        can never be counted twice, and no increment is ever lost.
+
+        :raises ValueError: if an objective is NaN or infinite — the model
+            of a degenerate problem, which no optimizer can rank.
+        """
+        if not math.isfinite(obj.time) or (
+            obj.energy is not None and not math.isfinite(obj.energy)
+        ):
+            raise ValueError(f"non-finite objectives for configuration {key}: {obj}")
         with self._lock:
             if key in self._cache:
                 return False
@@ -275,9 +277,10 @@ class SimulatedTarget:
     def evaluate(self, tile_sizes: dict[str, int], threads: int) -> Objectives:
         """Measure a configuration (median of k noisy runs); memoized.
 
-        Safe to call from multiple threads: computation happens outside the
-        lock (it is pure and deterministic, so a racing double-compute
-        yields the same value) and :meth:`commit` arbitrates the ledger.
+        A one-key :meth:`compute_keys` chunk.  Safe to call from multiple
+        threads: computation happens outside the lock (it is pure and
+        deterministic, so a racing double-compute yields the same value)
+        and :meth:`commit` arbitrates the ledger.
         """
         key = self.config_key(tile_sizes, threads)
         hit = self.lookup(key)
@@ -287,71 +290,10 @@ class SimulatedTarget:
         if disk is not None:
             self.commit(key, *disk)
             return self.lookup(key)
-        if self.protocol.overhead_s > 0:
-            _time.sleep(self.protocol.overhead_s)
-
-        true_time = self.model.time(tile_sizes, threads, collapsed=self.collapsed)
-        samples = tuple(true_time * self._noise_factors(key, self.protocol.repetitions))
-        measurement = Measurement(value=median(samples), samples=samples)
-        energy = None
-        if self.measure_energy:
-            # energy measurements share the run's jitter: scale the model
-            # energy by the same median noise factor as the time
-            true_energy = self.model.energy(tile_sizes, threads, collapsed=self.collapsed)
-            energy = true_energy * (measurement.value / true_time)
-        obj = Objectives(time=measurement.value, threads=int(threads), energy=energy)
+        [(obj, measurement)] = self.compute_keys([key])
         self.commit(key, obj, measurement)
         self.disk_store_many([(key, obj, measurement)])
         return self.lookup(key)
-
-    # -- batch path -------------------------------------------------------
-
-    def evaluate_batch(
-        self, tiles: np.ndarray, threads: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized evaluation of B configurations.
-
-        :param tiles: int array (B, len(band)) in band order.
-        :param threads: int array (B,).
-        :returns: measured (median-of-k noisy) times, float array (B,).
-
-        Duplicates (within the batch or against the memo cache) are
-        deduplicated before computation, so every configuration is counted
-        in the ledger exactly once across both paths; results agree
-        bit-for-bit with :meth:`evaluate`.
-        """
-        tiles = np.asarray(tiles, dtype=np.int64)
-        threads = np.asarray(threads, dtype=np.int64)
-        ext = np.array([self.model.extent[v] for v in self.band], dtype=np.int64)
-        clipped = np.clip(tiles, 1, ext[None, :])
-        keys = [
-            tuple(int(x) for x in clipped[b]) + (int(threads[b]),)
-            for b in range(len(clipped))
-        ]
-        pending = dict.fromkeys(k for k in keys if self.lookup(k) is None)
-        to_compute = list(pending)
-        if self.disk_cache is not None:
-            to_compute = []
-            for key in pending:
-                disk = self.disk_fetch(key)
-                if disk is not None:
-                    self.commit(key, *disk)
-                else:
-                    to_compute.append(key)
-        computed = []
-        for key, result in zip(to_compute, self.compute_keys(to_compute)):
-            self.commit(key, *result)
-            computed.append((key, *result))
-        self.disk_store_many(computed)
-        return np.array([self.lookup(key).time for key in keys])
-
-    def cached_objectives(self, tile_sizes: dict[str, int], threads: int) -> Objectives:
-        """The full Objectives record of an evaluated configuration."""
-        key = self.config_key(tile_sizes, threads)
-        hit = self.lookup(key)
-        if hit is None:
-            raise KeyError(f"configuration {key} has not been evaluated")
-        return hit
 
     # -- introspection ----------------------------------------------------
 

@@ -70,7 +70,8 @@ def _non_dominated_mask_2d(objs: np.ndarray) -> np.ndarray:
         while j < n and objs[order[j], 0] == v0:
             group_min = min(group_min, objs[order[j], 1])
             j += 1
-        if group_min < best1:
+        # the first group is never dominated, even at an infinite minimum
+        if i == 0 or group_min < best1:
             for k in range(i, j):
                 idx = order[k]
                 if objs[idx, 1] == group_min:
@@ -156,11 +157,16 @@ def non_dominated_mask(objs: np.ndarray) -> np.ndarray:
     ~10^5 points); the general case is a blocked broadcasted all-pairs
     dominance test — O(N²·m) element operations but a handful of NumPy
     calls per block instead of a Python-level pass per row.
+
+    :raises ValueError: if any objective is NaN (it is neither better nor
+        worse than anything, so no front exists).
     """
     objs = np.asarray(objs, dtype=float)
     n = objs.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
+    if np.isnan(objs).any():
+        raise ValueError("objective values must not be NaN")
     if objs.shape[1] == 2:
         return _non_dominated_mask_2d(objs)
     return _non_dominated_mask_general(objs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,31 @@ def mm_target(mm_model):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _call_bounded(fn, *args, seconds: float = 20.0, **kwargs):
+    """Call ``fn(*args, **kwargs)`` on a daemon thread and return its result
+    or re-raise its exception (SystemExit included); fail the test instead
+    of hanging when it has not returned after *seconds* of wall time."""
+    outcome: dict = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"{getattr(fn, '__name__', fn)} did not return within {seconds} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.fixture
+def bounded():
+    """Wall-clock-bounded call: ``bounded(fn, *args, seconds=20)``."""
+    return _call_bounded

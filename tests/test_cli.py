@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -128,6 +133,63 @@ class TestTune:
             run_cli("tune", "mm", "--workers", "some")
         with pytest.raises(SystemExit):
             run_cli("tune", "mm", "--workers", "0")
+
+
+class TestBadInput:
+    """Every bad argument ends in one clean error line and a non-zero exit
+    within a wall-clock bound — never a hang, a traceback or a silently
+    ignored argument."""
+
+    @staticmethod
+    def _error_line(bounded, *argv) -> str:
+        with pytest.raises(SystemExit) as info:
+            bounded(run_cli, *argv)
+        message = info.value.code
+        assert isinstance(message, str) and message and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("size", ["N=0", "N=-5"])
+    def test_nonpositive_size(self, bounded, size):
+        assert "positive integer" in self._error_line(bounded, "tune", "mm", "--size", size)
+
+    def test_unknown_size_name(self, bounded):
+        message = self._error_line(bounded, "tune", "mm", "--size", "X=3")
+        assert "'X'" in message and "N" in message
+
+    def test_size_leaving_a_loop_empty(self, bounded):
+        message = self._error_line(bounded, "tune", "jacobi2d", "--size", "N=2")
+        assert "without iterations" in message
+
+    def test_multiregion_nonpositive_size(self, bounded):
+        self._error_line(bounded, "tune", "mm", "--multiregion", "--size", "N=0")
+
+    def test_tune_file_missing_path(self, bounded, tmp_path):
+        missing = tmp_path / "nonexistent.c"
+        message = self._error_line(bounded, "tune-file", str(missing), "--size", "N=3")
+        assert str(missing) in message
+
+    def test_tune_file_unknown_size_name(self, bounded, tmp_path):
+        src = tmp_path / "k.c"
+        src.write_text(
+            "void f(int N, double A[N]) { for (int i = 0; i < N; i++) A[i] = 1.0; }"
+        )
+        self._error_line(bounded, "tune-file", str(src), "--size", "N=8", "--size", "M=3")
+
+    def test_process_exit_status(self):
+        """As a process: exit status 1 and exactly one line on stderr."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "tune", "mm", "--size", "N=0"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "N=0" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestReport:

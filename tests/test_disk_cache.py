@@ -71,12 +71,11 @@ class TestRoundTrip:
         plain = _target(mm_model)
         ref = EvaluationEngine(plain).evaluate_batch(configs)
 
-        _target(mm_model, tmp_path).evaluate_batch(
-            np.array(
-                [[t[v] for v in plain.band] for t, _ in configs], dtype=np.int64
-            ),
-            np.array([thr for _, thr in configs], dtype=np.int64),
-        )
+        # fill the cache through the single-configuration path, read it
+        # back through the engine
+        filler = _target(mm_model, tmp_path)
+        for tiles, threads in configs:
+            filler.evaluate(tiles, threads)
         warm = _target(mm_model, tmp_path)
         got = EvaluationEngine(warm, max_workers=2).evaluate_batch(configs)
         assert got.objectives == ref.objectives

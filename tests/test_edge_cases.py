@@ -9,8 +9,10 @@ import pytest
 from repro.analysis import extract_regions
 from repro.backend.meta import VersionMeta
 from repro.driver import TuningDriver
-from repro.evaluation import RegionCostModel, SimulatedTarget
+from repro.driver.compiler import SizeBindingError, check_sizes
+from repro.evaluation import EvaluationEngine, RegionCostModel, SimulatedTarget
 from repro.frontend import get_kernel
+from repro.frontend.parser import parse_function
 from repro.machine import BARCELONA, WESTMERE
 from repro.optimizer import (
     GDE3Settings,
@@ -50,6 +52,27 @@ class TestTinyProblems:
         table.fastest()(arrs, {"N": n})
         ref = k.reference(inputs, {"N": n})
         assert np.allclose(arrs["C"], ref["C"])
+
+    @pytest.mark.parametrize(
+        "kernel, sizes",
+        [("mm", {"N": 0}), ("mm", {"N": -5}), ("mm", {"X": 3}), ("stencil3d", {"N": 2})],
+    )
+    def test_driver_rejects_degenerate_sizes(self, bounded, kernel, sizes):
+        driver = TuningDriver(machine=WESTMERE, seed=1, settings=FAST)
+        with pytest.raises(SizeBindingError):
+            bounded(driver.tune_kernel, kernel, sizes=sizes)
+
+    def test_tune_source_needs_every_loop_bound(self):
+        src = (
+            "void f(int N, int M, int c, double A[N][M]) {"
+            " for (int i = 0; i < N; i++) for (int j = 0; j < M; j++) A[i][j] = c; }"
+        )
+        fn = parse_function(src)
+        # c bounds no loop, so it needs no binding
+        check_sizes(fn, {"N": 8, "M": 8}, extract_regions(fn))
+        driver = TuningDriver(machine=WESTMERE, seed=1, settings=FAST)
+        with pytest.raises(SizeBindingError, match="M"):
+            driver.tune_source(src, sizes={"N": 8})
 
     def test_degenerate_tile_space(self):
         """N=2 makes every tile bound collapse to [1,1]."""
@@ -146,14 +169,13 @@ class TestMinimalTables:
 
 class TestLedgerConsistency:
     def test_batch_then_single_consistent(self):
-        """A config first measured in a batch returns the identical value
-        when re-queried through the scalar path."""
+        """A config first measured in an engine batch returns the identical
+        value when re-queried through the single-configuration path."""
         k = get_kernel("mm")
         region = extract_regions(k.function)[0]
         model = RegionCostModel(region, {"N": 200}, WESTMERE)
         target = SimulatedTarget(model, seed=12)
-        tiles = np.array([[16, 32, 8]])
-        batch_time = target.evaluate_batch(tiles, np.array([4]))[0]
+        batch = EvaluationEngine(target).evaluate_batch([({"i": 16, "j": 32, "k": 8}, 4)])
         single = target.evaluate({"i": 16, "j": 32, "k": 8}, 4)
-        assert single.time == batch_time
+        assert single.time == batch.objectives[0].time
         assert target.evaluations == 1

@@ -70,6 +70,18 @@ class TestNonDominatedMask:
     def test_empty(self):
         assert non_dominated_mask(np.zeros((0, 2))).size == 0
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_nan_rejected(self, bounded, m):
+        objs = np.ones((5, m))
+        objs[2, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            bounded(non_dominated_mask, objs, seconds=5)
+
+    def test_infinite_values_ranked(self, bounded):
+        objs = np.array([[np.inf, 1.0], [np.inf, 0.5], [1.0, np.inf], [2.0, 2.0]])
+        mask = bounded(non_dominated_mask, objs, seconds=5)
+        assert mask.tolist() == [False, True, True, True]
+
     def test_three_objectives_fallback(self):
         objs = np.array([[1, 1, 1], [2, 2, 2], [1, 2, 0.5]])
         mask = non_dominated_mask(objs)

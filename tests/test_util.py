@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.rng import derive_rng, spawn_seed
-from repro.util.stats import geomean, mean, median, relative_loss, summarize
+from repro.util.stats import geomean, mean, median, ndtri, relative_loss, summarize
 from repro.util.tables import Table
 
 
@@ -92,6 +92,59 @@ class TestStats:
     def test_median_between_min_max(self, xs):
         m = median(xs)
         assert min(xs) <= m <= max(xs)
+
+
+class TestNdtri:
+    """The in-tree inverse normal CDF (a port of Cephes' ndtri) against
+    golden values of ``scipy.special.ndtri`` 1.17.1, bit for bit."""
+
+    GOLDEN = (
+        (1e-300, -37.0470962993612),
+        (5e-20, -9.088950100825436),
+        (1.2664165549e-14, -7.620199825256184),
+        (1e-10, -6.361340902404056),
+        (3.3e-05, -3.9902632507893006),
+        (0.01, -2.3263478740408408),
+        (0.1, -1.2815515655446004),
+        (0.1353352832366127, -1.10151962849875),
+        (0.135335283236613, -1.1015196284987483),
+        (0.2, -0.8416212335729142),
+        (0.3, -0.5244005127080409),
+        (0.4999, -0.0002506628300880075),
+        (0.5, 0.0),
+        (0.5001, 0.0002506628300880075),
+        (0.7, 0.5244005127080407),
+        (0.8646647167633873, 1.1015196284987503),
+        (0.9, 1.2815515655446004),
+        (0.975, 1.959963984540054),
+        (0.999, 3.090232306167813),
+        (0.999999999999, 7.0344869100478356),
+        (0.9999999999999999, 8.209536151601387),
+    )
+
+    def test_golden_values(self):
+        u = np.array([p for p, _ in self.GOLDEN])
+        z = np.array([q for _, q in self.GOLDEN])
+        assert np.array_equal(ndtri(u), z)
+
+    def test_shape_and_scalar(self):
+        assert ndtri(0.3).shape == ()
+        assert float(ndtri(0.3)) == -0.5244005127080409
+        assert ndtri(np.full((4, 3), 0.5)).shape == (4, 3)
+        assert ndtri(np.array([])).shape == (0,)
+
+    def test_edges(self):
+        out = ndtri(np.array([0.0, 1.0, -0.1, 1.5, np.nan]))
+        assert out[0] == -np.inf and out[1] == np.inf
+        assert np.isnan(out[2:]).all()
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special", exc_type=ImportError)
+        rng = np.random.default_rng(5)
+        u = (rng.integers(0, 2**63, 200_000, dtype=np.uint64) * 2.0 + 0.5) / 2.0**64
+        tails = np.concatenate([np.logspace(-300, -1, 5000), 1 - np.logspace(-16, -1, 5000)])
+        for p in (u, tails):
+            assert np.array_equal(ndtri(p), special.ndtri(p))
 
 
 class TestTable:
