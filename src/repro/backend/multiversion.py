@@ -16,6 +16,7 @@ sizes as literals here is exactly that.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.backend.cgen import C_PRELUDE, function_to_c
@@ -50,7 +51,7 @@ def _signature(fn: Function) -> tuple[str, str]:
 
 def build_multiversion_c(
     kernel_name: str,
-    variants: list[tuple[Function, VersionMeta]],
+    variants: Sequence[tuple[Function, VersionMeta]],
 ) -> MultiVersionUnit:
     """Aggregate specialized variants into one multi-versioned C unit.
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.regions import TunableRegion, extract_regions
 from repro.backend.meta import VersionMeta
@@ -148,25 +149,34 @@ class TunedKernel:
             )
         return metas
 
-    def _variants(self) -> list[tuple[Function, VersionMeta]]:
-        out = []
-        for meta in self.version_metas():
-            transformed = self.skeleton.instantiate(dict(meta.values))
-            out.append((transformed.apply(), meta))
-        return out
+    @cached_property
+    def _variants(self) -> tuple[tuple[Function, VersionMeta], ...]:
+        """Each Pareto point's specialised function, built once per tuned
+        kernel and shared by the executable version table and ``emit_c``."""
+        metas = self.version_metas()
+        obs = self.obs or DISABLED
+        with obs.tracer.span("backend.variants", region=self.name, versions=len(metas)):
+            return tuple(
+                (self.skeleton.instantiate(dict(meta.values)).apply(), meta)
+                for meta in metas
+            )
 
     def build_version_table(self, executable: bool = True) -> VersionTable:
         """Version table for the runtime; with ``executable`` the versions
-        carry compiled Python bodies (exact semantics, small-size speed)."""
-        versions = []
-        for fn, meta in self._variants():
-            body = compile_function(fn, name=f"{self.name}_v{meta.index}") if executable else None
-            versions.append(Version(meta=meta, fn=body))
+        carry compiled Python bodies (exact semantics, small-size speed),
+        without it the table holds metadata only and touches no IR."""
+        if executable:
+            versions = [
+                Version(meta=meta, fn=compile_function(fn, name=f"{self.name}_v{meta.index}"))
+                for fn, meta in self._variants
+            ]
+        else:
+            versions = [Version(meta=meta) for meta in self.version_metas()]
         return VersionTable(region_name=self.name, versions=tuple(versions))
 
     def emit_c(self) -> MultiVersionUnit:
         """The multi-versioned C translation unit (paper Fig. 6)."""
-        return build_multiversion_c(self.name, self._variants())
+        return build_multiversion_c(self.name, self._variants)
 
     def preview_selections(
         self, policies: tuple[str, ...] = ("fastest", "efficient", "balanced")

@@ -12,7 +12,7 @@ keeps analysis results valid for the trees they were computed on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.ir.types import ArrayType, ScalarType
@@ -43,30 +43,33 @@ _BINOPS = {"+", "-", "*", "/", "%", "//"}
 
 @dataclass(frozen=True)
 class Node:
-    """Base class: uniform child access for the visitor framework."""
+    """Base class: uniform child access for the visitor framework.
+
+    ``_child_fields`` names, in order, each class's fields that hold one
+    child node or a tuple of them."""
+
+    _child_fields = ()
 
     def children(self) -> tuple["Node", ...]:
         out: list[Node] = []
-        for f_ in fields(self):
-            val = getattr(self, f_.name)
-            if isinstance(val, Node):
+        for name in self._child_fields:
+            val = getattr(self, name)
+            if isinstance(val, tuple):
+                out.extend(val)
+            else:
                 out.append(val)
-            elif isinstance(val, tuple):
-                out.extend(v for v in val if isinstance(v, Node))
         return tuple(out)
 
     def with_children(self, new_children: list["Node"]) -> "Node":
         """Rebuild this node with its Node-valued fields replaced in order."""
         it = iter(new_children)
         updates: dict[str, Any] = {}
-        for f_ in fields(self):
-            val = getattr(self, f_.name)
-            if isinstance(val, Node):
-                updates[f_.name] = next(it)
-            elif isinstance(val, tuple) and any(isinstance(v, Node) for v in val):
-                updates[f_.name] = tuple(
-                    next(it) if isinstance(v, Node) else v for v in val
-                )
+        for name in self._child_fields:
+            val = getattr(self, name)
+            if isinstance(val, tuple):
+                updates[name] = tuple([next(it) for _ in val])
+            else:
+                updates[name] = next(it)
         return replace(self, **updates)
 
 
@@ -151,6 +154,7 @@ class FloatLit(Expr):
 
 @dataclass(frozen=True)
 class BinOp(Expr):
+    _child_fields = ("lhs", "rhs")
     op: str
     lhs: Expr
     rhs: Expr
@@ -162,18 +166,21 @@ class BinOp(Expr):
 
 @dataclass(frozen=True)
 class UnOp(Expr):
+    _child_fields = ("operand",)
     op: str
     operand: Expr
 
 
 @dataclass(frozen=True)
 class Min(Expr):
+    _child_fields = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
 @dataclass(frozen=True)
 class Max(Expr):
+    _child_fields = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
@@ -183,6 +190,7 @@ class Call(Expr):
     """An intrinsic call (``sqrt``, ``rsqrt`` …) — the only non-affine
     expression form the kernels need."""
 
+    _child_fields = ("args",)
     fn: str
     args: tuple[Expr, ...]
 
@@ -192,6 +200,7 @@ class ArrayRef(Expr):
     """``name[indices...]`` — subscripts are arbitrary expressions; the
     polyhedral analysis recognises the affine subset."""
 
+    _child_fields = ("indices",)
     array: str
     indices: tuple[Expr, ...]
 
@@ -215,6 +224,7 @@ class Assign(Stmt):
     """``target = value``; accumulation is expressed by reading the target
     inside *value* (e.g. ``C[i,j] = C[i,j] + ...``)."""
 
+    _child_fields = ("target", "value")
     target: Expr  # ArrayRef or Var
     value: Expr
 
@@ -225,6 +235,7 @@ class Assign(Stmt):
 
 @dataclass(frozen=True)
 class Block(Stmt):
+    _child_fields = ("stmts",)
     stmts: tuple[Stmt, ...]
 
     def __post_init__(self) -> None:
@@ -242,6 +253,7 @@ class For(Stmt):
     ``{"tile_loop": "i"}`` or ``{"collapsed": ("i", "j")}``.
     """
 
+    _child_fields = ("lower", "upper", "step", "body")
     var: str
     lower: Expr
     upper: Expr
@@ -276,6 +288,7 @@ class Param(Node):
 class Function(Node):
     """A kernel: named parameters (arrays and scalar sizes) and a body."""
 
+    _child_fields = ("params", "body")
     name: str
     params: tuple[Param, ...]
     body: Block

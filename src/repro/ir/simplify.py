@@ -11,6 +11,9 @@ hand-written code. Rules are conservative — integer-exact identities only:
 * ``min(x, x) → x`` / ``max(x, x) → x`` and constant min/max,
 * recursion through statements (bounds, steps, subscripts, bodies).
 
+The rules run in one bottom-up pass over the tree (see :func:`simplify`
+for why that single pass is already a fixpoint).
+
 ``x/x``, ``x-x`` etc. are *not* folded (no aliasing analysis needed here,
 and the transformations never produce them).
 """
@@ -103,17 +106,15 @@ def _rule(node: Node) -> Node | None:
 
 
 def simplify(node: Node) -> Node:
-    """Simplify every expression in the subtree (statements included)."""
-    # run to a fixpoint: folding can expose new opportunities one level up,
-    # and `transform` already rebuilds bottom-up, so two passes suffice for
-    # the patterns the transformations emit; iterate defensively anyway
-    prev = node
-    for _ in range(4):
-        nxt = transform(prev, _rule)
-        if nxt == prev:
-            return nxt
-        prev = nxt
-    return prev
+    """Simplify every expression in the subtree (statements included).
+
+    One bottom-up pass reaches the fixpoint: a rule sees children that are
+    already simplified, and it returns either one of them or a fresh
+    literal, so nothing it produces can be simplified further.  A subtree
+    with nothing to fold is returned as the same object, so
+    ``simplify(simplify(x)) is simplify(x)``.
+    """
+    return transform(node, _rule)
 
 
 def simplify_expr(expr: Expr) -> Expr:

@@ -9,6 +9,7 @@ structure the transformations operate on.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from operator import is_not
 
 from repro.ir.nodes import (
     ArrayRef,
@@ -48,9 +49,11 @@ def collect(node: Node, node_type: type | tuple[type, ...]) -> list[Node]:
 def transform(node: Node, fn: Callable[[Node], Node | None]) -> Node:
     """Rebuild the tree bottom-up; *fn* may return a replacement for each
     node or ``None`` to keep it.  Children are transformed before parents,
-    so *fn* sees already-rewritten subtrees."""
-    new_children = [transform(child, fn) for child in node.children()]
-    if new_children != list(node.children()):
+    so *fn* sees already-rewritten subtrees.  A node none of whose
+    children changed (by identity) is kept, not rebuilt."""
+    children = node.children()
+    new_children = [transform(child, fn) for child in children]
+    if any(map(is_not, new_children, children)):
         node = node.with_children(new_children)
     replacement = fn(node)
     return node if replacement is None else replacement
@@ -73,9 +76,9 @@ def substitute(node: Node, mapping: dict[str, Expr]) -> Node:
         step = substitute(node.step, mapping)
         body = substitute(node.body, inner)
         return node.with_children([lower, upper, step, body])  # type: ignore[list-item]
-    children = list(node.children())
+    children = node.children()
     new_children = [substitute(child, mapping) for child in children]
-    if new_children != children:
+    if any(map(is_not, new_children, children)):
         node = node.with_children(new_children)
     return node
 

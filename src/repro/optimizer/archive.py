@@ -31,7 +31,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.optimizer.hypervolume import hypervolume
-from repro.optimizer.pareto import non_dominated_mask
+from repro.optimizer.pareto import non_dominated_mask, reject_nan
 
 __all__ = ["ParetoArchive"]
 
@@ -90,30 +90,48 @@ class ParetoArchive:
     def add(self, point, payload=None) -> bool:
         """Insert one objective vector; returns whether it is currently
         non-dominated (exact duplicates of a front point count as front
-        members and return True)."""
-        p = tuple(float(v) for v in np.asarray(point, dtype=float).reshape(-1))
-        if len(p) != self.m:
+        members and return True).
+
+        :raises ValueError: on a wrong objective count or a NaN objective.
+        """
+        p = np.asarray(point, dtype=float).reshape(1, -1)
+        self._check(p)
+        return self._insert(tuple(p[0].tolist()), payload)
+
+    def add_many(self, points, payloads=None) -> int:
+        """Insert a batch (row per point); returns how many entered the
+        front at insertion time.  The whole batch is validated before any
+        point is inserted.
+
+        :raises ValueError: on a wrong objective count or a NaN objective.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.size == 0:
+            return 0
+        self._check(pts)
+        if payloads is None:
+            payloads = [None] * pts.shape[0]
+        return sum(
+            self._insert(tuple(row), payload)
+            for row, payload in zip(pts.tolist(), payloads)
+        )
+
+    def _check(self, pts: np.ndarray) -> None:
+        """Reject a batch unless it holds m-objective rows without NaN —
+        one vectorised check per batch, not one per point."""
+        if pts.shape[1] != self.m:
             raise ValueError(
-                f"point has {len(p)} objectives, archive expects {self.m}"
+                f"point has {pts.shape[1]} objectives, archive expects {self.m}"
             )
+        reject_nan(pts)
+
+    def _insert(self, p: tuple[float, ...], payload) -> bool:
         if not self._fast:
             return self._add_fallback(p, payload)
         entered = self._front_insert(p[0], p[1], payload)
         if entered:
             self._hv_insert(p[0], p[1])
         return entered
-
-    def add_many(self, points, payloads=None) -> int:
-        """Insert a batch (row per point); returns how many entered the
-        front at insertion time."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.size == 0:
-            return 0
-        if payloads is None:
-            payloads = [None] * pts.shape[0]
-        return sum(
-            bool(self.add(row, payload)) for row, payload in zip(pts, payloads)
-        )
 
     # -- queries --------------------------------------------------------
 

@@ -27,7 +27,6 @@ import numpy as np
 from repro.optimizer.config import Configuration
 from repro.optimizer.pareto import (
     crowding_distance,
-    dominates,
     non_dominated_sort,
     pairwise_dominance,
 )
@@ -125,7 +124,8 @@ class GDE3:
         sorting with crowding distance."""
         np_size = self.settings.population_size
         # one broadcasted trial-vs-target comparison instead of 2·N scalar
-        # dominates() calls (see _select_pairs_scalar, the guarded baseline)
+        # dominates() calls (``select_pairs_scalar`` in tests/oracles.py is
+        # the guarded baseline)
         n = min(len(population), len(trial_configs))
         trial_dom, target_dom = pairwise_dominance(
             _objective_rows(trial_configs[:n]),
@@ -145,24 +145,6 @@ class GDE3:
 
         if len(next_pop) > np_size:
             next_pop = self._truncate(next_pop, np_size)
-        return next_pop
-
-    @staticmethod
-    def _select_pairs_scalar(
-        population: list[Configuration], trial_configs: list[Configuration]
-    ) -> list[Configuration]:
-        """The pre-vectorization pairwise phase of :meth:`select` (before
-        truncation) — the scalar baseline the selection micro-benchmark
-        asserts output-identity and speedup against."""
-        next_pop: list[Configuration] = []
-        for target, trial in zip(population, trial_configs):
-            if dominates(trial.objectives, target.objectives):
-                next_pop.append(trial)
-            elif dominates(target.objectives, trial.objectives):
-                next_pop.append(target)
-            else:
-                next_pop.append(target)
-                next_pop.append(trial)
         return next_pop
 
     def generation(

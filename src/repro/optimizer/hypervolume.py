@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.optimizer.pareto import non_dominated_mask
+from repro.optimizer.pareto import non_dominated_mask, reject_nan
 
 __all__ = ["hypervolume", "normalized_hypervolume"]
 
@@ -27,11 +27,14 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
 
     Points beyond the reference contribute nothing; dominated points are
     filtered out first.
+
+    :raises ValueError: if any point has a NaN objective.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ref = np.asarray(reference, dtype=float)
     if pts.size == 0:
         return 0.0
+    reject_nan(pts)
     if pts.shape[1] != ref.shape[0]:
         raise ValueError("reference dimension mismatch")
     # clip coordinates at the reference (a point beyond ref in one

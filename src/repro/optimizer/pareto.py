@@ -19,7 +19,15 @@ __all__ = [
     "non_dominated_mask",
     "non_dominated_sort",
     "crowding_distance",
+    "reject_nan",
 ]
+
+
+def reject_nan(objs: np.ndarray) -> None:
+    """Raise ``ValueError`` if any objective in *objs* is NaN: it is neither
+    better nor worse than anything, so no front (or volume) exists."""
+    if np.isnan(objs).any():
+        raise ValueError("objective values must not be NaN")
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -101,8 +109,8 @@ def _non_dominated_mask_general(objs: np.ndarray) -> np.ndarray:
     nothing.  Fronts are small in practice, which keeps the candidate
     side near ``_BLOCK`` rows instead of all N, and peak memory at
     ``O((F + _BLOCK) · _BLOCK · m)`` for front size F.  Output-identical
-    to the per-row scalar sweep
-    (:func:`_non_dominated_mask_general_scalar`)."""
+    to the per-row scalar sweep (``non_dominated_mask_scalar`` in
+    ``tests/oracles.py``)."""
     n, m = objs.shape
     # np.lexsort's last key is primary: reverse so column 0 sorts first
     order = np.lexsort(objs.T[::-1])
@@ -129,27 +137,6 @@ def _non_dominated_mask_general(objs: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _non_dominated_mask_general_scalar(objs: np.ndarray) -> np.ndarray:
-    """The pre-vectorization per-row sweep — kept as the reference the
-    micro-benchmark (``benchmarks/test_select_speedup.py``) guards the
-    broadcasted path against, output-identical by construction."""
-    n = objs.shape[0]
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        o = objs[i]
-        dominated_by_i = (objs >= o).all(axis=1) & (objs > o).any(axis=1)
-        mask &= ~dominated_by_i
-        mask[i] = True
-        # if i itself is dominated by any currently-alive point, kill it
-        alive = np.flatnonzero(mask)
-        dominates_i = (objs[alive] <= o).all(axis=1) & (objs[alive] < o).any(axis=1)
-        if dominates_i.any():
-            mask[i] = False
-    return mask
-
-
 def non_dominated_mask(objs: np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated rows of an (N, m) objective array.
 
@@ -165,8 +152,7 @@ def non_dominated_mask(objs: np.ndarray) -> np.ndarray:
     n = objs.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
-    if np.isnan(objs).any():
-        raise ValueError("objective values must not be NaN")
+    reject_nan(objs)
     if objs.shape[1] == 2:
         return _non_dominated_mask_2d(objs)
     return _non_dominated_mask_general(objs)
@@ -200,8 +186,14 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     """NSGA-II crowding distance of each row of an (N, m) objective array.
 
     Boundary points get infinite distance; interior points the sum of
-    normalized neighbour gaps per objective."""
+    normalized neighbour gaps per objective.  An objective whose span is
+    zero or infinite (an infinite value sorts to a boundary) contributes
+    only its boundary points.
+
+    :raises ValueError: if any objective is NaN.
+    """
     objs = np.asarray(objs, dtype=float)
+    reject_nan(objs)
     n, m = objs.shape
     dist = np.zeros(n)
     if n <= 2:
@@ -212,7 +204,7 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
         span = col[-1] - col[0]
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
-        if span <= 0:
+        if not 0 < span < np.inf:
             continue
         gaps = (col[2:] - col[:-2]) / span
         dist[order[1:-1]] += gaps

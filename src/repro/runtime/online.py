@@ -17,10 +17,10 @@ Statistics live in NumPy arrays (counts / running means / Welford M2 per
 arm) guarded by one lock, so the serving loop can feed observations from
 many worker threads without losing a single count, and :meth:`select`
 computes every arm's UCB score in **one** vectorized expression instead of
-a per-arm Python loop.  :meth:`select_scalar` keeps the per-arm loop
-in-tree as the differential oracle — both paths read the same statistics
-through the same floating-point operations, so their selection sequences
-are identical.
+a per-arm Python loop.  The per-arm loop is kept as the differential
+oracle (``bandit_select_scalar`` in ``tests/oracles.py``) — both read the
+same statistics through the same floating-point operations, so their
+selection sequences are identical.
 """
 
 from __future__ import annotations
@@ -206,31 +206,6 @@ class BanditSelector(SelectionPolicy):
             means = (sums + w * table.columns().times) / (counts + w)
             return table.versions[int(np.argmin(means))]
         return table.versions[int(np.argmin(self._scores(table)))]
-
-    def select_scalar(self, table: VersionTable, context: dict | None = None) -> Version:
-        """Per-arm scoring loop — the differential oracle for
-        :meth:`select`.  Reads the same statistics through the same
-        floating-point operations, one arm at a time; the chosen version is
-        always identical to the vectorized path."""
-        if self.strategy == "epsilon":
-            return self.select(table, context)
-        cols = table.columns()
-        prior = cols.times
-        scale = prior.max() - prior.min()
-        scale = scale or prior.max() or 1.0
-        counts, sums, total = self._snapshot(table)
-        w = self.prior_weight
-        best, best_pos = None, 0
-        for pos in range(len(table.versions)):
-            n = counts[pos] + w
-            mean = (sums[pos] + w * prior[pos]) / n
-            bonus = self.exploration * scale * np.sqrt(
-                2 * np.log(max(1, total) + 1) / n
-            )
-            score = mean - bonus
-            if best is None or score < best:
-                best, best_pos = score, pos
-        return table.versions[best_pos]
 
     def describe(self) -> str:
         return f"bandit({self.strategy}, n={self._total})"

@@ -9,6 +9,16 @@ that the production paths compute the same numbers bit for bit:
   traffic).
 - :func:`noise_factors` — the per-key lognormal factors that
   ``SimulatedTarget._noise_factor_matrix`` computes for a whole chunk.
+- :func:`select_pairs_scalar` — the pairwise phase of ``GDE3.select``
+  with two scalar ``dominates`` calls per pair, which ``select`` does in
+  one broadcasted comparison.
+- :func:`non_dominated_mask_scalar` — the per-row general-m sweep that
+  ``repro.optimizer.pareto`` replaced with a blocked broadcast.
+- :func:`bandit_select_scalar` — ``BanditSelector.select``'s UCB1 score,
+  one arm at a time.
+- :func:`simplify` — the fixpoint simplifier over the field-inspecting,
+  deep-``!=`` :func:`transform` that ``repro.ir.simplify.simplify`` turned
+  into one identity-checked bottom-up pass.
 
 Do not "fix" these: a change here changes what the tests hold the
 production code to.
@@ -17,15 +27,29 @@ production code to.
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 
 from repro.evaluation.cost import RegionCostModel, Stream
+from repro.ir.nodes import Node
+from repro.ir.simplify import _rule
+from repro.optimizer.config import Configuration
+from repro.optimizer.pareto import dominates
 from repro.machine.topology import place_threads
 from repro.util.rng import spawn_seed
 from repro.util.stats import ndtri
 
-__all__ = ["ScalarCostModel", "noise_factors"]
+__all__ = [
+    "ScalarCostModel",
+    "noise_factors",
+    "select_pairs_scalar",
+    "non_dominated_mask_scalar",
+    "bandit_select_scalar",
+    "node_children",
+    "simplify",
+    "transform",
+]
 
 _U64 = float(1 << 64)
 
@@ -295,3 +319,119 @@ def noise_factors(target, key: tuple, reps: int) -> np.ndarray:
         [(spawn_seed(target.seed, key, rep) + 0.5) / _U64 for rep in range(reps)]
     )
     return np.exp(target.noise * ndtri(u))
+
+
+# -- Pareto selection ------------------------------------------------------------
+
+
+def select_pairs_scalar(
+    population: list[Configuration], trial_configs: list[Configuration]
+) -> list[Configuration]:
+    """The pairwise phase of ``GDE3.select`` (before truncation)."""
+    next_pop: list[Configuration] = []
+    for target, trial in zip(population, trial_configs):
+        if dominates(trial.objectives, target.objectives):
+            next_pop.append(trial)
+        elif dominates(target.objectives, trial.objectives):
+            next_pop.append(target)
+        else:
+            next_pop.append(target)
+            next_pop.append(trial)
+    return next_pop
+
+
+def non_dominated_mask_scalar(objs: np.ndarray) -> np.ndarray:
+    """The per-row non-dominated sweep for any number of objectives."""
+    n = objs.shape[0]
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not mask[i]:
+            continue
+        o = objs[i]
+        dominated_by_i = (objs >= o).all(axis=1) & (objs > o).any(axis=1)
+        mask &= ~dominated_by_i
+        mask[i] = True
+        # if i itself is dominated by any currently-alive point, kill it
+        alive = np.flatnonzero(mask)
+        dominates_i = (objs[alive] <= o).all(axis=1) & (objs[alive] < o).any(axis=1)
+        if dominates_i.any():
+            mask[i] = False
+    return mask
+
+
+# -- online version selection ----------------------------------------------------
+
+
+def bandit_select_scalar(bandit, table):
+    """The version *bandit* selects from *table*, scored arm by arm through
+    the same statistics and floating-point operations as ``select``."""
+    if bandit.strategy == "epsilon":
+        return bandit.select(table)
+    cols = table.columns()
+    prior = cols.times
+    scale = prior.max() - prior.min()
+    scale = scale or prior.max() or 1.0
+    counts, sums, total = bandit._snapshot(table)
+    w = bandit.prior_weight
+    best, best_pos = None, 0
+    for pos in range(len(table.versions)):
+        n = counts[pos] + w
+        mean = (sums[pos] + w * prior[pos]) / n
+        bonus = bandit.exploration * scale * np.sqrt(
+            2 * np.log(max(1, total) + 1) / n
+        )
+        score = mean - bonus
+        if best is None or score < best:
+            best, best_pos = score, pos
+    return table.versions[best_pos]
+
+
+# -- the IR rewriter -------------------------------------------------------------
+
+
+def node_children(node: Node) -> tuple[Node, ...]:
+    """The node's children, found by inspecting every dataclass field."""
+    out: list[Node] = []
+    for f_ in fields(node):
+        val = getattr(node, f_.name)
+        if isinstance(val, Node):
+            out.append(val)
+        elif isinstance(val, tuple):
+            out.extend(v for v in val if isinstance(v, Node))
+    return tuple(out)
+
+
+def node_with_children(node: Node, new_children: list[Node]) -> Node:
+    """Rebuild *node* with its Node-valued fields replaced in order."""
+    it = iter(new_children)
+    updates = {}
+    for f_ in fields(node):
+        val = getattr(node, f_.name)
+        if isinstance(val, Node):
+            updates[f_.name] = next(it)
+        elif isinstance(val, tuple) and any(isinstance(v, Node) for v in val):
+            updates[f_.name] = tuple(
+                next(it) if isinstance(v, Node) else v for v in val
+            )
+    return replace(node, **updates)
+
+
+def transform(node: Node, fn) -> Node:
+    """Bottom-up rebuild; a node is rebuilt when its children compare
+    unequal (deep ``!=``) after rewriting."""
+    new_children = [transform(child, fn) for child in node_children(node)]
+    if new_children != list(node_children(node)):
+        node = node_with_children(node, new_children)
+    replacement = fn(node)
+    return node if replacement is None else replacement
+
+
+def simplify(node: Node) -> Node:
+    """The simplification rules run to a fixpoint, at most four passes."""
+    prev = node
+    for _ in range(4):
+        nxt = transform(prev, _rule)
+        if nxt == prev:
+            return nxt
+        prev = nxt
+    return prev

@@ -135,6 +135,49 @@ class TestFrontSemantics:
             ParetoArchive([1.0])
 
 
+class TestNaN:
+    """A NaN objective has no place on a front: the archive raises the same
+    error as :func:`non_dominated_mask`, on both paths, and keeps its state."""
+
+    @pytest.mark.parametrize("ref", [[10.0, 10.0], [10.0, 10.0, 10.0]])
+    def test_add_many_rejects_nan(self, ref):
+        m = len(ref)
+        pts = np.full((2, m), 2.0)
+        pts[0, :] = 1.0
+        pts[0, -1] = np.nan
+        archive = ParetoArchive(ref)
+        with pytest.raises(ValueError, match="NaN") as got:
+            archive.add_many(pts)
+        with pytest.raises(ValueError) as want:
+            non_dominated_mask(pts)
+        assert str(got.value) == str(want.value)
+        # validated as a batch: nothing was inserted before the NaN row
+        assert archive.front_size == 0
+        assert archive.hypervolume == 0.0
+
+    def test_add_rejects_nan(self):
+        archive = ParetoArchive(REF2)
+        archive.add([0.5, 0.5], payload="kept")
+        with pytest.raises(ValueError, match="NaN"):
+            archive.add([np.nan, 0.1], payload="bad")
+        assert archive.front() == ["kept"]
+
+    def test_stats_of_raises_like_non_dominated(self):
+        pts = [[1.0, np.nan], [2.0, 2.0]]
+        with pytest.raises(ValueError, match="NaN"):
+            ParetoArchive.stats_of(pts, [10.0, 10.0])
+        with pytest.raises(ValueError, match="NaN"):
+            non_dominated(pts)
+
+    def test_infinite_objective_kept_on_front(self):
+        # +inf is an ordinary (worst) value: kept on the front when it is
+        # best in another objective, clipped to zero width for the volume
+        pts = np.array([[1.0, np.inf], [2.0, 2.0]])
+        front_size, hv = ParetoArchive.stats_of(pts, [10.0, 10.0])
+        assert front_size == int(non_dominated_mask(pts).sum()) == 2
+        assert hv == hypervolume(pts, [10.0, 10.0])
+
+
 class TestTriObjectiveFallback:
     def test_m3_matches_recompute(self):
         rng = np.random.default_rng(3)

@@ -8,8 +8,10 @@ import pytest
 from repro.driver import TunedKernel, TuningDriver, TuningSession
 from repro.frontend import get_kernel
 from repro.machine import BARCELONA, WESTMERE
+from repro.obs import FakeClock, Observability
 from repro.optimizer.rsgde3 import RSGDE3Settings
 from repro.optimizer.gde3 import GDE3Settings
+from repro.transform.skeleton import TransformationSkeleton
 
 
 FAST_SETTINGS = RSGDE3Settings(
@@ -131,3 +133,39 @@ class TestSession:
         session = TuningSession()
         session.tune("mm", WESTMERE, seed=0)
         assert session.results_for("mm", "Barcelona", "rsgde3") == []
+
+
+class TestBackendBuildsVersionsOnce:
+    """The backend instantiates each Pareto version once per tuned kernel;
+    the metadata-only table never touches the IR."""
+
+    def test_instantiate_counts(self, monkeypatch):
+        obs = Observability.tracing(clock=FakeClock(tick=1e-4))
+        driver = TuningDriver(machine=WESTMERE, seed=5, settings=FAST_SETTINGS, obs=obs)
+        tuned = driver.tune_kernel("mm", sizes={"N": 300})
+        calls = []
+        original = TransformationSkeleton.instantiate
+
+        def counting(self, values):
+            calls.append(values)
+            return original(self, values)
+
+        monkeypatch.setattr(TransformationSkeleton, "instantiate", counting)
+        metadata_only = tuned.build_version_table(executable=False)
+        assert calls == []
+        assert [v.meta for v in metadata_only] == tuned.version_metas()
+
+        table = tuned.build_version_table(executable=True)
+        unit = tuned.emit_c()
+        chosen = tuned.preview_selections()
+        size = tuned.result.size
+        assert len(calls) == size
+        assert len(table) == len(unit.versions) == size
+        assert set(chosen.values()) <= set(range(size))
+
+        spans = [
+            r for r in obs.tracer.records()
+            if r["type"] == "span" and r["name"] == "backend.variants"
+        ]
+        assert len(spans) == 1
+        assert spans[0]["attrs"] == {"region": "mm", "versions": size}

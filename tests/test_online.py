@@ -9,6 +9,7 @@ from repro.backend.meta import VersionMeta
 from repro.runtime import Version, VersionTable
 from repro.runtime.online import BanditSelector
 from repro.util.rng import derive_rng
+from tests.oracles import bandit_select_scalar
 
 
 def table_with_times(predicted: list[float]) -> VersionTable:
@@ -114,7 +115,7 @@ class TestExecutorIntegration:
 
 class TestVectorizedParity:
     """select() computes every arm's UCB score in one vectorized
-    expression; select_scalar() is the per-arm loop kept as the
+    expression; bandit_select_scalar() is the per-arm loop kept as the
     differential oracle.  The two must pick the same version at every step
     of any observation stream."""
 
@@ -123,7 +124,7 @@ class TestVectorizedParity:
         b = BanditSelector(seed=11)
         rng = derive_rng(11, "parity")
         for step in range(300):
-            assert b.select(table) is b.select_scalar(table), step
+            assert b.select(table) is bandit_select_scalar(b, table), step
             arm = int(rng.integers(len(table)))
             b.observe(arm, 0.1 + float(rng.random()))
 
@@ -135,18 +136,18 @@ class TestVectorizedParity:
             b.observe(0, 0.7)
             b.observe(2, 0.2)
             b.observe(99, 0.01)
-        assert b.select(table) is b.select_scalar(table)
+        assert b.select(table) is bandit_select_scalar(b, table)
 
     def test_parity_before_any_observation(self):
         table = table_with_times([0.5, 0.3, 0.8])
         b = BanditSelector(seed=2)
-        assert b.select(table) is b.select_scalar(table)
+        assert b.select(table) is bandit_select_scalar(b, table)
 
     def test_epsilon_strategy_delegates(self):
         table = table_with_times([0.5, 0.3])
         b = BanditSelector(strategy="epsilon", seed=3)
         for _ in range(20):
-            assert b.select_scalar(table).meta.index in (0, 1)
+            assert bandit_select_scalar(b, table).meta.index in (0, 1)
 
 
 class TestBatchedObservation:
@@ -198,7 +199,7 @@ class TestBanditConcurrency:
                         int(rng.integers(len(table))), 0.1 + float(rng.random())
                     )
                     if i % 50 == 0:
-                        b.select_scalar(table)
+                        bandit_select_scalar(b, table)
             except Exception as exc:  # pragma: no cover - the assertion
                 errors.append(exc)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.optimizer.hypervolume import hypervolume, normalized_hypervolume
 from repro.optimizer.pareto import (
     _non_dominated_mask_general,
-    _non_dominated_mask_general_scalar,
     crowding_distance,
     dominates,
     non_dominated,
@@ -17,6 +18,7 @@ from repro.optimizer.pareto import (
     non_dominated_sort,
     pairwise_dominance,
 )
+from tests.oracles import non_dominated_mask_scalar
 
 obj_vectors = st.lists(
     st.tuples(
@@ -152,6 +154,39 @@ class TestCrowdingDistance:
         d = crowding_distance(objs)
         assert d[1] < d[2]
 
+    def test_nan_rejected(self):
+        objs = np.array([[1.0, 4.0], [np.nan, 3.0], [3.0, 2.0], [4.0, 1.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            crowding_distance(objs)
+
+    def test_nan_rejected_in_small_sets(self):
+        with pytest.raises(ValueError, match="NaN"):
+            crowding_distance(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize(
+        "first", [[0.0, 1.0, 2.0, np.inf], [-np.inf, 0.0, 1.0, 2.0]]
+    )
+    def test_infinite_span_is_boundary_only(self, first):
+        # an infinite objective sorts to a boundary; the objective's span is
+        # then infinite and adds no interior gaps (no NaN, no warning)
+        objs = np.column_stack([first, [4.0, 3.0, 2.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = crowding_distance(objs)
+        assert not np.isnan(d).any()
+        finite = crowding_distance(objs[:, 1:])
+        interior = np.isfinite(finite)
+        assert np.array_equal(d[interior], finite[interior])
+        assert np.isinf(d[3]) and np.isinf(d[0])
+
+    def test_tied_infinities_stay_finite_inside(self):
+        objs = np.array([[0.0, 3.0], [1.0, 2.0], [np.inf, 1.0], [np.inf, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = crowding_distance(objs)
+        assert np.isinf(d[[0, 3]]).all()
+        assert np.isfinite(d[[1, 2]]).all()
+
 
 class TestNonDominatedHelper:
     def test_key_extraction(self):
@@ -209,6 +244,26 @@ class TestHypervolume:
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
             hypervolume(np.array([[1.0, 2.0]]), np.array([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[1.0, 1.0], [np.nan, np.nan]],  # a NaN row used to be dropped
+            [[1.0, np.nan], [2.0, 2.0]],
+            [[20.0, np.nan]],  # beyond the reference in the other objective
+            [[1.0, 1.0, 1.0], [0.5, np.nan, 0.5]],
+        ],
+    )
+    def test_nan_rejected(self, pts):
+        ref = np.full(len(pts[0]), 10.0)
+        with pytest.raises(ValueError, match="NaN"):
+            hypervolume(np.array(pts), ref)
+
+    def test_infinite_objective_clipped(self):
+        pts = np.array([[1.0, np.inf], [2.0, 2.0]])
+        assert hypervolume(pts, np.array([10.0, 10.0])) == hypervolume(
+            pts[1:], np.array([10.0, 10.0])
+        )
 
     def test_3d_inclusion_exclusion_matches_manual(self):
         pts = np.array([[0.5, 0.5, 0.5]])
@@ -302,7 +357,7 @@ class TestVectorizedGeneralMask:
         rng = np.random.default_rng(n)
         objs = rng.uniform(0.0, 10.0, size=(n, 3))
         fast = _non_dominated_mask_general(objs)
-        slow = _non_dominated_mask_general_scalar(objs)
+        slow = non_dominated_mask_scalar(objs)
         assert np.array_equal(fast, slow)
 
     def test_duplicates_all_retained(self):
@@ -331,5 +386,5 @@ class TestVectorizedGeneralMask:
         objs = np.array(pts, dtype=float)
         assert np.array_equal(
             _non_dominated_mask_general(objs),
-            _non_dominated_mask_general_scalar(objs),
+            non_dominated_mask_scalar(objs),
         )

@@ -7,13 +7,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import extract_regions
+from repro.backend.cgen import function_to_c
+from repro.driver import TuningDriver
 from repro.frontend import get_kernel
 from repro.ir.builder import assign, c, loop, var
 from repro.ir.interp import eval_expr, run_function
-from repro.ir.nodes import BinOp, FloatLit, IntLit, Max, Min
+from repro.ir.nodes import (
+    ArrayRef,
+    Assign,
+    BinOp,
+    Block,
+    Call,
+    FloatLit,
+    For,
+    IntLit,
+    Max,
+    Min,
+    UnOp,
+    Var,
+)
 from repro.ir.printer import expr_to_source
 from repro.ir.simplify import simplify, simplify_expr
+from repro.ir.visitors import walk
 from repro.transform import collapse, default_skeleton, tile
+from tests import oracles
 
 
 class TestRules:
@@ -124,3 +141,99 @@ class TestBackendIntegration:
         src = function_to_python(fn)
         assert not re.search(r"\* 1\b", src)
         assert not re.search(r"\+ 0\b", src)
+
+
+# -- differential oracle: one pass vs the fixpoint loop --------------------------
+
+_leaves = st.one_of(
+    st.sampled_from(["i", "j", "N"]).map(Var),
+    st.integers(min_value=-3, max_value=6).map(IntLit),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]).map(FloatLit),
+)
+
+
+def _compound(sub):
+    return st.one_of(
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "//", "%"]), sub, sub),
+        st.builds(Min, sub, sub),
+        st.builds(Max, sub, sub),
+        st.builds(UnOp, st.just("-"), sub),
+        st.builds(lambda a: Call("sqrt", (a,)), sub),
+        st.builds(lambda a, b: ArrayRef("A", (a, b)), sub, sub),
+    )
+
+
+_exprs = st.recursive(_leaves, _compound, max_leaves=24)
+
+#: a loop whose bounds, step and stored value are random expressions
+_loops = st.builds(
+    lambda lo, hi, step, val: For(
+        "i", lo, hi, step, Block((Assign(ArrayRef("C", (Var("i"),)), val),))
+    ),
+    _exprs,
+    _exprs,
+    _exprs,
+    _exprs,
+)
+
+
+def _assert_matches_oracle(node) -> None:
+    once = simplify(node)
+    assert once == oracles.simplify(node)
+    # printed forms too: == cannot tell IntLit(1) from IntLit(1.0)
+    assert repr(once) == repr(oracles.simplify(node))
+    # a fixpoint without a rebuild: nothing left to fold
+    assert simplify(once) is once
+
+
+def _assert_same_children(node) -> None:
+    for n in walk(node):
+        got, want = n.children(), oracles.node_children(n)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want)), type(n).__name__
+
+
+class TestDifferentialOracle:
+    """One-pass ``simplify`` must equal the pre-change fixpoint loop."""
+
+    @given(_exprs)
+    @settings(max_examples=300, deadline=None)
+    def test_random_expressions(self, e):
+        _assert_matches_oracle(e)
+        _assert_same_children(e)
+
+    @given(_loops)
+    @settings(max_examples=100, deadline=None)
+    def test_random_loops(self, loop_):
+        _assert_matches_oracle(loop_)
+        _assert_same_children(loop_)
+
+    def test_every_kernel_version(self, kernel, machine):
+        """Every skeleton instantiation of the paper kernels, at the
+        parameter corners and at random interior points."""
+        _, _, skeleton = TuningDriver(machine=machine).make_problem(
+            kernel.function, kernel.sizes(), kernel=kernel
+        )
+        rng = np.random.default_rng(8)
+        samples = [
+            {p.name: p.span()[0] for p in skeleton.parameters},
+            {p.name: p.span()[1] for p in skeleton.parameters},
+        ]
+        for _ in range(10):
+            samples.append(
+                {
+                    p.name: int(rng.choice(p.choices))
+                    if p.is_categorical
+                    else int(rng.integers(p.lo, p.hi + 1))
+                    for p in skeleton.parameters
+                }
+            )
+        for values in samples:
+            fn = skeleton.instantiate(values).apply()
+            _assert_matches_oracle(fn)
+            _assert_same_children(fn)
+            assert function_to_c(simplify(fn)) == function_to_c(oracles.simplify(fn))
+
+    def test_idempotent_on_unfoldable_input(self):
+        e = var("x") + var("y")
+        assert simplify(e) is e
