@@ -28,6 +28,7 @@ from repro.frontend.kernels import get_kernel
 from repro.machine import WESTMERE
 from repro.optimizer.gde3 import GDE3Settings
 from repro.optimizer.rsgde3 import RSGDE3Settings
+from tests.oracles import run_lockstep
 
 from conftest import print_banner
 
@@ -71,7 +72,7 @@ def _signature(result):
 
 
 def test_fused_scheduler_beats_serial_lockstep():
-    lockstep_wall, lockstep = _timed(lambda: _tuner().run_lockstep(seed=3))
+    lockstep_wall, lockstep = _timed(lambda: run_lockstep(_tuner(), seed=3))
     serial_wall, serial = _timed(lambda: _tuner(workers=1).run(seed=3))
     fused_wall, fused = _timed(lambda: _tuner(workers=WORKERS).run(seed=3))
     piped_wall, piped = _timed(

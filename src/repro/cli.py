@@ -464,7 +464,7 @@ def _cmd_tune_multiregion(args, out, machine, obs, driver, sizes) -> int:
 
     print(f"{name} on {machine.name}: {len(result.results)} regions", file=out)
     print(result.summary(), file=out)
-    if args.engine_stats and result.engine_stats is not None:
+    if args.engine_stats:
         print(f"engine: workers={args.workers} {result.engine_stats.summary()}", file=out)
         if driver.disk_cache is not None:
             print(driver.disk_cache.summary(), file=out)
@@ -494,11 +494,10 @@ def _cmd_tune_multiregion(args, out, machine, obs, driver, sizes) -> int:
                 for r in result.results
             ],
         }
-        if result.engine_stats is not None:
-            payload["engine"] = {
-                "workers": str(args.workers),
-                **result.engine_stats.as_dict(),
-            }
+        payload["engine"] = {
+            "workers": str(args.workers),
+            **result.engine_stats.as_dict(),
+        }
         Path(args.json).write_text(json.dumps(payload, indent=1))
         print(f"wrote {args.json}", file=out)
 

@@ -5,28 +5,24 @@ sets of configurations for each of the regions ... During the evaluation, a
 single execution of the resulting program is sufficient to obtain
 measurements for all simultaneously tuned regions."
 
-:class:`MultiRegionTuner` coordinates one RS-GDE3 instance per region.  Two
-evaluation paths produce bit-identical results:
-
-* :meth:`MultiRegionTuner.run_lockstep` — the serial reference: each
-  program generation, every region proposes its GDE3 trials, the trials
-  are evaluated region by region, then every region selects.  This is the
-  loop the scheduler is verified against (and the benchmark baseline).
-
-* :meth:`MultiRegionTuner.run` — the cross-region scheduler: every active
-  region's generation batch is fused into **one shared**
-  :class:`~repro.evaluation.parallel_eval.EvaluationEngine` session, so
-  the worker pool drains all regions' trials together instead of idling
-  between per-region barriers.  Identical cost-model fingerprints dedup
-  across regions (one dispatch serves every region that shares one, each
-  still committing to its own ledger).  With ``pipeline=True`` a region
-  whose selection finishes early proposes its next generation while
-  slower regions' chunks are still in flight, bounded to one generation
-  of lag (``pipeline=False`` keeps the lock-step barrier on the same code
-  path).  Because measurement noise is hash-derived per key and regions
-  are data-independent, fronts, per-region ``E`` and ``program_runs`` are
-  bit-identical for any worker count, chunk size or completion
-  interleaving.
+:class:`MultiRegionTuner` coordinates one RS-GDE3 instance per region.
+:meth:`MultiRegionTuner.run` is a cross-region scheduler over the
+evaluation engine's session: every active region's generation batch is
+submitted to **one shared**
+:class:`~repro.evaluation.parallel_eval.EvaluationEngine`, so the worker
+pool drains all regions' trials together instead of idling between
+per-region barriers, under the engine's one fault policy (deadline, retry,
+per-key rescue, degradation).  Identical cost-model fingerprints dedup
+across regions (one dispatch serves every region that shares one, each
+still committing to its own ledger).  With ``pipeline=True`` a region
+whose selection finishes early proposes its next generation while slower
+regions' chunks are still in flight, bounded to one generation of lag
+(``pipeline=False`` keeps the lock-step barrier on the same code path).
+Because measurement noise is hash-derived per key and regions are
+data-independent, fronts, per-region ``E`` and ``program_runs`` are
+bit-identical for any worker count, chunk size or completion interleaving
+— and to the serial region-by-region loop kept in the test suite as the
+differential oracle.
 
 The payoff is the ledger: ``program_runs`` grows by ``max_r |trials_r|``
 per generation instead of ``Σ_r |trials_r|`` — tuning jacobi-2d's two
@@ -43,7 +39,7 @@ from repro.analysis.regions import extract_regions
 from repro.driver.compiler import check_sizes
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import MeasurementProtocol
-from repro.evaluation.parallel_eval import EngineStats, EvaluationEngine, FusedBatch
+from repro.evaluation.parallel_eval import BatchResult, EngineStats, EvaluationEngine
 from repro.evaluation.simulator import SimulatedTarget
 from repro.frontend.kernels import Kernel
 from repro.ir.nodes import Function
@@ -76,13 +72,13 @@ class MultiRegionResult:
         cost; compare against ``sum(r.evaluations for r in results)``,
         which is what separate tuning would have paid.
     :param engine_stats: aggregated evaluation accounting across every
-        region's batches (None for runs predating the scheduler).
+        region's batches.
     """
 
     results: tuple[OptimizerResult, ...]
     program_runs: int
     generations: int
-    engine_stats: EngineStats | None = None
+    engine_stats: EngineStats
 
     @property
     def total_region_evaluations(self) -> int:
@@ -139,14 +135,14 @@ class _RegionState:
         self.records: list[ConvergenceRecord] = []
         self.evals_before = problem.evaluations
         # in-flight bookkeeping
-        self.batch: FusedBatch | None = None
+        self.batch: BatchResult | None = None
         self.values_list: list[dict[str, int]] | None = None
 
     # -- propose / absorb: the two halves of one generation ---------------
 
     def propose(self, engine: EvaluationEngine) -> None:
         """Draw this region's next batch (initial sample or GDE3 trials)
-        and enqueue it into the fused session."""
+        and submit it to the engine's session."""
         if self.population is None:
             vectors = self.full.sample(
                 self.rng, self.settings.gde3.population_size
@@ -225,7 +221,7 @@ class _RegionState:
 
 @dataclass
 class MultiRegionTuner:
-    """Lock-step RS-GDE3 over all tunable regions of a function.
+    """Simultaneous RS-GDE3 over all tunable regions of a function.
 
     :param function: the program (e.g. jacobi-2d with two spatial nests).
     :param sizes: problem-size bindings.
@@ -293,8 +289,9 @@ class MultiRegionTuner:
 
         Every region's generation batch lands in the same work queue;
         the pool stays busy until the whole generation drains.  Results
-        are bit-identical to :meth:`run_lockstep` for any ``workers``,
-        ``chunk_size``, ``backend`` and ``pipeline`` setting.
+        are bit-identical to the serial region-by-region loop for any
+        ``workers``, ``chunk_size``, ``backend`` and ``pipeline``
+        setting.
         """
         obs = self.obs or DISABLED
         problems = self._build_problems()
@@ -333,9 +330,9 @@ class MultiRegionTuner:
                     for st in running:
                         if st.batch is None and st.gen - min_gen <= max_lag:
                             st.propose(engine)
-                stats = _clone_stats(engine.stats)
             finally:
                 engine.close()
+            stats = engine.stats
 
             generations = max(st.gen for st in states)
             program_runs = self.settings.gde3.population_size * (1 + generations)
@@ -351,69 +348,3 @@ class MultiRegionTuner:
             generations=generations,
             engine_stats=stats,
         )
-
-    # -- serial lock-step reference ------------------------------------
-
-    def run_lockstep(self, seed: int = 0) -> MultiRegionResult:
-        """The serial per-region loop the scheduler is verified against
-        (and the wall-clock baseline of the multi-region benchmark)."""
-        obs = self.obs or DISABLED
-        problems = self._build_problems()
-        states = [
-            _RegionState(i, p, self.settings, seed)
-            for i, p in enumerate(problems)
-        ]
-        stats = EngineStats()
-
-        for st in states:
-            vectors = st.full.sample(st.rng, self.settings.gde3.population_size)
-            st.values_list, configs = st.problem.batch_configs(vectors)
-            result = st.problem.evaluation_engine.evaluate_batch(configs)
-            st.batch = _as_fused(result)
-            st.absorb(obs)
-
-        while any(not st.finished for st in states):
-            for st in states:
-                if st.finished:
-                    continue
-                vectors = st.optimizer.propose(st.population, st.boundary, st.rng)
-                st.values_list, configs = st.problem.batch_configs(vectors)
-                result = st.problem.evaluation_engine.evaluate_batch(configs)
-                st.batch = _as_fused(result)
-                st.absorb(obs)
-
-        for st in states:
-            stats.merge(st.problem.evaluation_engine.stats)
-        generations = max(st.gen for st in states)
-        program_runs = self.settings.gde3.population_size * (1 + generations)
-        return MultiRegionResult(
-            results=tuple(st.result(generations) for st in states),
-            program_runs=program_runs,
-            generations=generations,
-            engine_stats=stats,
-        )
-
-
-def _as_fused(result) -> FusedBatch:
-    """Wrap a plain BatchResult so _RegionState.absorb can consume either
-    evaluation path."""
-    return FusedBatch(
-        region="",
-        target=None,
-        fp="",
-        keys=[],
-        order=[],
-        needs=set(),
-        compute=[],
-        stats=result.stats,
-        t0=0.0,
-        objectives=result.objectives,
-        done=True,
-    )
-
-
-def _clone_stats(stats: EngineStats) -> EngineStats:
-    """Snapshot the engine's cumulative accounting before it is closed."""
-    out = EngineStats()
-    out.merge(stats)
-    return out

@@ -23,7 +23,6 @@ from repro.evaluation.disk_cache import DEFAULT_CACHE_DIR, MeasurementDiskCache
 from repro.evaluation.measurements import Measurement, MeasurementProtocol
 from repro.evaluation.simulator import SimulatedTarget
 from repro.evaluation.parallel_eval import (
-    BatchEvaluator,
     BatchResult,
     EngineStats,
     EvaluationEngine,
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "Measurement",
     "MeasurementProtocol",
-    "BatchEvaluator",
     "BatchResult",
     "EngineStats",
     "EvaluationEngine",

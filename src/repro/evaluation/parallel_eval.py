@@ -4,59 +4,52 @@ Paper §III-A: "multiple independent configurations are generated, compiled
 and if possible evaluated in parallel on distinct instances of the targeted
 platform", and §IV notes the evaluator "exploits the availability of
 multiple cores ... to generate, compile and execute code versions in
-parallel".  :class:`EvaluationEngine` is that component: optimizers hand it
-the configurations of one generation and it runs a three-stage pipeline —
+parallel".  :class:`EvaluationEngine` is that component.  It has one
+pipeline, a **session** of batches: each batch is one generation's
+configurations against one target, and several regions' batches — each
+against its *own* target — may be in flight at once (paper §III-A: one
+program execution measures every simultaneously tuned region).  A batch
+runs through three stages:
 
 1. **dedup** — configurations are canonicalized (via the target's
-   ``config_key``) and deduplicated both within the batch and against the
-   target's memo cache, so each unique configuration is computed at most
-   once per run;
-2. **dispatch** — unique configurations are sharded into
-   ``ceil(B/workers)``-sized **chunks** that fan out to a worker pool
-   (``max_workers="auto"`` sizes it at three quarters of the visible cores,
-   the MITuna default), each worker executing one *vectorized*
-   ``compute_keys(chunk)`` call so the NumPy batch path is never traded
-   away for parallelism.  Workers are *pure*: they produce
-   ``key → (Objectives, Measurement)`` results without touching the
-   evaluation ledger.  The default ``backend="thread"`` shares the model;
-   ``backend="process"`` moves chunks to a ``ProcessPoolExecutor`` over
-   pickled model state for true parallelism on large grids;
-3. **commit** — the engine commits worker results serially, in batch
-   order, through the target's locked single-writer ``commit``.  Because
-   measurement noise is hash-derived per key, results are bit-identical to
-   the serial path and the ``E`` metric (paper Table VI) stays exact no
-   matter how many workers race.
+   ``config_key``) and deduplicated within the batch (``deduped``),
+   against the target's memo cache (``cache_hits``), against the session's
+   results and in-flight chunks by target fingerprint (``shared_hits``:
+   equal fingerprints measure identically, so one computation serves every
+   region that shares one) and against the persistent disk cache
+   (``disk_hits``), so each unique configuration is computed at most once;
+2. **dispatch** — the cold remainder is sharded into ``ceil(B/workers)``
+   **chunks** (``max_workers="auto"`` sizes the pool at three quarters of
+   the visible cores, the MITuna default), each one *vectorized*
+   ``compute_keys(chunk)`` call, so the NumPy batch path is never traded
+   away for parallelism.  One worker, or a batch that fits one chunk,
+   computes inline in the caller's thread.  Workers are *pure*: they
+   return ``key → (Objectives, Measurement)`` without touching a ledger.
+   ``backend="thread"`` shares the model; ``backend="process"`` ships each
+   chunk's target (only its pure measurement state pickles) to a
+   ``ProcessPoolExecutor`` for true parallelism;
+3. **commit** — once every key a batch needs has landed, the engine
+   commits it serially, in batch order, through the target's locked
+   single-writer ``commit``, then persists the chunks the batch computed
+   to the disk cache.  Because measurement noise is hash-derived per key,
+   results are bit-identical to the serial path and the ``E`` metric
+   (paper Table VI) stays exact however many workers race.
 
-A robustness layer wraps dispatch: one wall-clock deadline per attempt
-(``concurrent.futures.wait`` — n stragglers cost one timeout, not n),
-bounded per-chunk retry with linear backoff, and graceful degradation —
-configurations whose pooled attempts keep failing are rescued **per key**
-serially in the caller's thread, and an engine that has to rescue
-``degrade_after`` consecutive batches stops using the pool altogether.
-:class:`FaultPolicy` injects failures for testing.  :class:`EngineStats`
-records the accounting (dispatched / cache hits / deduped / disk hits /
-retried / failed, wall time).
+:meth:`EvaluationEngine.evaluate_batch` submits one batch for the engine's
+own target and drains it; :meth:`~EvaluationEngine.fused_submit` /
+:meth:`~EvaluationEngine.fused_wait` let the cross-region scheduler in
+:mod:`repro.driver.multiregion` keep several regions' batches in flight.
 
-When the target carries a persistent
-:class:`~repro.evaluation.disk_cache.MeasurementDiskCache`, the engine
-consults it between dedup and dispatch (counted as ``disk_hits``) and
-persists freshly computed chunks after the commit stage, so repeated runs
-perform zero model evaluations for already-cached configurations while
-``E`` stays exact.
-
-Besides the blocking single-target :meth:`EvaluationEngine.evaluate_batch`,
-the engine offers a **fused session** for multi-region tuning
-(:meth:`fused_submit` / :meth:`fused_wait`): several regions' generation
-batches — each against its *own* target — share one persistent worker pool,
-are deduplicated **across regions** by target fingerprint (equal
-fingerprints ⇒ one computation serves every region, counted as
-``shared_hits``; each consuming region still commits to its own ledger, so
-per-region ``E`` is exactly what separate evaluation would have produced),
-and commit deterministically in per-batch order as soon as each batch's
-results drain.  The cross-region scheduler in
-:mod:`repro.driver.multiregion` is the consumer.
-
-``BatchEvaluator`` remains as a backwards-compatible alias.
+One fault policy covers every pooled chunk, after the timeout / error /
+resume contract of a multi-process auto-tuner: a wall-clock deadline per
+attempt (``timeout_s``, counted from dispatch, so n stragglers submitted
+together cost one timeout, not n), ``retries`` extra attempts with linear
+backoff, then a **per-key** serial rescue in the caller's thread; an engine
+whose batches need the rescue ``degrade_after`` times in a row stops using
+the pool.  A worker cannot be killed, so a pool holding an abandoned
+(timed-out) worker is retired and the next dispatch builds a fresh one.
+:class:`FaultPolicy` injects failures for testing; :class:`EngineStats`
+records the accounting.
 """
 
 from __future__ import annotations
@@ -81,12 +74,10 @@ __all__ = [
     "EvaluationEngine",
     "EngineStats",
     "BatchResult",
-    "FusedBatch",
     "FaultPolicy",
     "FlakyFaultPolicy",
     "InjectedFault",
     "EvaluationError",
-    "BatchEvaluator",
     "auto_workers",
 ]
 
@@ -117,7 +108,7 @@ class FaultPolicy:
     def check(self, key: tuple, attempt: int, serial: bool) -> None:
         """Called with the canonical config key, the 1-based attempt number
         and whether the attempt runs serially in the caller's thread (the
-        rescue/degraded path) rather than on the worker pool."""
+        inline/rescue/degraded path) rather than on the worker pool."""
 
 
 @dataclass
@@ -175,14 +166,14 @@ class EngineStats:
     deduped: int = 0
     #: configurations served from the persistent on-disk cache
     disk_hits: int = 0
-    #: configurations served by another region's computation in a fused
+    #: configurations served by another batch's computation in the
     #: session (equal target fingerprints ⇒ shared measurement)
     shared_hits: int = 0
     #: ledger commits (== dispatched unless an external caller raced)
     new_evaluations: int = 0
     #: retry attempts after pooled failures/timeouts
     retried: int = 0
-    #: pooled attempts abandoned after the per-config timeout
+    #: pooled attempts abandoned after the per-attempt timeout
     timeouts: int = 0
     #: configurations rescued serially after all pooled attempts failed
     failed: int = 0
@@ -207,69 +198,102 @@ class EngineStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
+#: (metric, EngineStats field, help) — one counter per accounting field
+_COUNTERS = (
+    ("repro_engine_batches_total", "batches", "evaluation batches processed"),
+    ("repro_engine_configs_total", "configs", "configurations submitted"),
+    ("repro_engine_dispatched_total", "dispatched", "unique configurations computed"),
+    ("repro_engine_cache_hits_total", "cache_hits",
+     "configurations served from the memo cache"),
+    ("repro_engine_deduped_total", "deduped", "in-batch duplicate configurations"),
+    ("repro_engine_disk_hits_total", "disk_hits",
+     "configurations served from the persistent disk cache"),
+    ("repro_engine_shared_hits_total", "shared_hits",
+     "configurations served by a sibling region's computation"),
+    ("repro_engine_retries_total", "retried", "retry attempts after pooled failures"),
+    ("repro_engine_timeouts_total", "timeouts", "pooled attempts abandoned on timeout"),
+    ("repro_engine_failed_total", "failed", "configurations rescued serially"),
+    ("repro_engine_serial_fallbacks_total", "serial_fallbacks",
+     "batches run serially after degradation"),
+)
+
+
+@dataclass(eq=False)
 class BatchResult:
-    """Objectives for one batch, in input order."""
+    """One batch of the engine's session.
 
-    objectives: tuple[Objectives, ...]
-    new_evaluations: int
-    stats: EngineStats | None = None
-
-
-@dataclass
-class FusedBatch:
-    """One region's in-flight batch inside a fused evaluation session.
-
-    Returned by :meth:`EvaluationEngine.fused_submit`; once
-    :meth:`EvaluationEngine.fused_wait` hands it back, :attr:`objectives`
-    holds the results in submission order and :attr:`stats` the batch's
+    :meth:`EvaluationEngine.fused_submit` returns it in flight;
+    :meth:`EvaluationEngine.evaluate_batch` and
+    :meth:`EvaluationEngine.fused_wait` hand it back committed, with
+    :attr:`objectives` in input order and :attr:`stats` the batch's
     accounting.
 
     :param region: caller-chosen label (trace events carry it).
-    :param fp: the target's measurement fingerprint — the cross-region
-        dedup key: equal fingerprints measure identically, so one
-        computation serves every region that shares one.
+    :param fp: the target's measurement fingerprint — the cross-batch
+        dedup key.
     """
 
-    region: str
     target: SimulatedTarget
+    region: str
     fp: str
     #: every submitted canonical key, input order
     keys: list[tuple]
     #: the unique ledger-miss keys this batch commits, in batch order
     order: list[tuple]
-    #: session-result entries that must exist before the batch can commit
-    needs: set[tuple]
-    #: keys this batch dispatched itself (persisted to disk after commit)
-    compute: list[tuple]
     stats: EngineStats
     t0: float
+    #: keys this batch computed itself (persisted to disk after commit)
+    compute: list[tuple] = field(default_factory=list)
+    #: chunk landings this batch still waits for (ready at 0)
+    pending: int = 0
+    #: whether the batch dispatched chunks to the pool
+    pooled: bool = False
     objectives: tuple[Objectives, ...] | None = None
     done: bool = False
+
+    @property
+    def new_evaluations(self) -> int:
+        return self.stats.new_evaluations
+
+
+@dataclass(eq=False)
+class _Chunk:
+    """One pooled ``compute_keys`` call and the batches waiting on it."""
+
+    keys: tuple[tuple, ...]
+    owner: BatchResult
+    attempt: int = 1
+    deadline: float = math.inf
+    #: the pool the current attempt was submitted to
+    executor: object = None
+    #: sibling batches that found one of these keys in flight, one entry
+    #: per key
+    waiters: list[BatchResult] = field(default_factory=list)
 
 
 class EvaluationEngine:
     """Parallel, fault-tolerant batch evaluator over a target platform.
 
-    :param target: the (simulated) platform; must provide ``config_key``,
-        ``lookup``, pure ``compute_keys`` and single-writer ``commit``.
-    :param max_workers: worker threads; ``"auto"`` → :func:`auto_workers`,
-        1 (the default) evaluates serially through the same pipeline.
-    :param timeout_s: wall-time limit per pooled *attempt* — one deadline
-        covers the whole fan-out (a worker cannot be killed, but its
-        result is abandoned and its chunk retried).  None disables.
+    :param target: the (simulated) platform :meth:`evaluate_batch`
+        measures; must provide ``config_key``, ``lookup``, pure
+        ``compute_keys`` and single-writer ``commit``.
+    :param max_workers: worker pool width; ``"auto"`` →
+        :func:`auto_workers`, 1 (the default) computes inline through the
+        same pipeline.
+    :param timeout_s: wall-time limit per pooled *attempt*, counted from
+        dispatch (a worker cannot be killed, but its result is abandoned,
+        its pool retired and its chunk retried).  None disables.
     :param retries: extra attempts after a failed/timed-out pooled attempt.
     :param backoff_s: linear backoff between retry rounds.
     :param degrade_after: after this many consecutive batches needing the
         serial rescue, the engine stops using the pool entirely.
     :param fault_policy: test hook, see :class:`FaultPolicy`.
-    :param obs: observability handle — every batch becomes an
+    :param obs: observability handle — every :meth:`evaluate_batch` is an
         ``engine.batch`` span and the accounting is folded into metric
         counters/histograms; the default disabled handle is free.
     :param backend: ``"thread"`` (default) shares the model between
-        workers; ``"process"`` pickles the target's pure measurement
-        state into a cached ``ProcessPoolExecutor`` for true parallelism
-        on large grids (incompatible with ``fault_policy``, whose
+        workers; ``"process"`` ships each chunk's target to a
+        ``ProcessPoolExecutor`` (incompatible with ``fault_policy``, whose
         in-memory call log cannot cross processes).
     :param chunk_size: configurations per worker chunk; None (default)
         uses ``ceil(B/workers)`` so one vectorized call per worker covers
@@ -317,13 +341,15 @@ class EvaluationEngine:
         self.stats = EngineStats()
         self._degraded = False
         self._strikes = 0
-        self._process_pool: ProcessPoolExecutor | None = None
-        # fused-session state (multi-target cross-region scheduling)
-        self._fused_pool = None
-        self._fused_pending: list[FusedBatch] = []
-        self._fused_futures: dict = {}
-        self._fused_results: dict[tuple[str, tuple], tuple] = {}
-        self._fused_inflight: set[tuple[str, tuple]] = set()
+        # session state, owned by the coordinating thread: workers only run
+        # the pure compute_keys, so only the targets' commits need locks
+        self._executor = None
+        self._pending: list[BatchResult] = []
+        self._futures: dict = {}
+        #: fingerprint → {key: (Objectives, Measurement)}, kept until reset
+        self._fused_results: dict[str, dict[tuple, tuple]] = {}
+        #: fingerprint → {key: in-flight chunk computing it}
+        self._inflight: dict[str, dict[tuple, _Chunk]] = {}
 
     # ------------------------------------------------------------------
 
@@ -338,14 +364,12 @@ class EvaluationEngine:
         self._strikes = 0
 
     def close(self) -> None:
-        """Release the cached process pool and the fused-session pool
-        (the single-target thread backend's pools are per batch)."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=False, cancel_futures=True)
-            self._process_pool = None
-        if self._fused_pool is not None:
-            self._fused_pool.shutdown(wait=False, cancel_futures=True)
-            self._fused_pool = None
+        """Release the worker pool and drop the session state; the
+        accounting in :attr:`stats` stays readable.  Idle workers are
+        joined, so no thread or process outlives the call."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=not self._futures, cancel_futures=True)
+            self._executor = None
         self.fused_reset()
 
     # ------------------------------------------------------------------
@@ -353,112 +377,32 @@ class EvaluationEngine:
     def evaluate_batch(
         self, configs: list[tuple[dict[str, int], int]]
     ) -> BatchResult:
-        """Evaluate ``[(tile_sizes, threads), ...]``; preserves order.
+        """Evaluate ``[(tile_sizes, threads), ...]`` against the engine's
+        target — a one-batch session — and return the committed batch.
 
         Results are bit-identical for any ``max_workers`` and the ledger's
         ``E`` grows by exactly the number of configurations that were new
         to the target.
         """
-        t0 = time.perf_counter()
-        batch = EngineStats(batches=1, configs=len(configs))
-
+        if self._pending:
+            raise RuntimeError("evaluate_batch called with session batches in flight")
         with self.obs.tracer.span(
             "engine.batch", configs=len(configs), workers=self.max_workers
         ) as span:
-            keys = [self.target.config_key(tiles, thr) for tiles, thr in configs]
-            pending: dict[tuple, None] = {}
-            for key in keys:
-                if key in pending:
-                    batch.deduped += 1
-                elif self.target.lookup(key) is not None:
-                    batch.cache_hits += 1
-                else:
-                    pending[key] = None
-            order = list(pending)
-
-            results: dict[tuple, tuple[Objectives, Measurement]] = {}
-            # persistent-cache phase: serve what a previous process already
-            # measured; hits are committed below like any computed result,
-            # so E stays exact while dispatch shrinks to the cold keys
-            if getattr(self.target, "has_disk_cache", False):
-                for key in order:
-                    disk = self.target.disk_fetch(key)
-                    if disk is not None:
-                        results[key] = disk
-                        batch.disk_hits += 1
-            compute = [key for key in order if key not in results]
-            batch.dispatched = len(compute)
-
-            serial = self.max_workers == 1 or self._degraded or len(compute) <= 1
-            if compute:
-                if serial:
-                    if self._degraded:
-                        batch.serial_fallbacks += 1
-                    self._compute_serial(compute, results, batch)
-                else:
-                    self._compute_parallel(compute, results, batch)
-
-            # single-writer commit, in batch order — the only ledger mutation
-            for key in order:
-                obj, measurement = results[key]
-                if self.target.commit(key, obj, measurement):
-                    batch.new_evaluations += 1
-
-            if compute and getattr(self.target, "has_disk_cache", False):
-                self.target.disk_store_many(
-                    [(key, *results[key]) for key in compute]
-                )
-
-            objectives = tuple(self.target.lookup(key) for key in keys)
-            batch.wall_time_s = time.perf_counter() - t0
-            span.set(**batch.as_dict())
-
-        self._observe_batch(batch)
-        self.stats.merge(batch)
-        return BatchResult(
-            objectives=objectives,
-            new_evaluations=batch.new_evaluations,
-            stats=batch,
-        )
+            try:
+                batch = self.fused_submit(self.target, configs)
+                self._drain()
+            except BaseException:
+                self.fused_reset()
+                raise
+            span.set(**batch.stats.as_dict())
+        return batch
 
     def _observe_batch(self, batch: EngineStats) -> None:
         """Fold one batch's accounting into the metrics registry."""
         m = self.obs.metrics
-        m.counter(
-            "repro_engine_batches_total", "evaluation batches processed"
-        ).inc()
-        m.counter(
-            "repro_engine_configs_total", "configurations submitted"
-        ).inc(batch.configs)
-        m.counter(
-            "repro_engine_dispatched_total", "unique configurations computed"
-        ).inc(batch.dispatched)
-        m.counter(
-            "repro_engine_cache_hits_total", "configurations served from the memo cache"
-        ).inc(batch.cache_hits)
-        m.counter(
-            "repro_engine_deduped_total", "in-batch duplicate configurations"
-        ).inc(batch.deduped)
-        m.counter(
-            "repro_engine_disk_hits_total",
-            "configurations served from the persistent disk cache",
-        ).inc(batch.disk_hits)
-        m.counter(
-            "repro_engine_shared_hits_total",
-            "configurations served by a sibling region's computation",
-        ).inc(batch.shared_hits)
-        m.counter(
-            "repro_engine_retries_total", "retry attempts after pooled failures"
-        ).inc(batch.retried)
-        m.counter(
-            "repro_engine_timeouts_total", "pooled attempts abandoned on timeout"
-        ).inc(batch.timeouts)
-        m.counter(
-            "repro_engine_failed_total", "configurations rescued serially"
-        ).inc(batch.failed)
-        m.counter(
-            "repro_engine_serial_fallbacks_total", "batches run serially after degradation"
-        ).inc(batch.serial_fallbacks)
+        for name, attr, help_text in _COUNTERS:
+            m.counter(name, help_text).inc(getattr(batch, attr))
         m.gauge(
             "repro_engine_degraded", "1 while the engine is in permanent serial mode"
         ).set(int(self._degraded))
@@ -466,18 +410,106 @@ class EvaluationEngine:
             "repro_engine_batch_seconds", "wall time per evaluation batch"
         ).observe(batch.wall_time_s)
 
-    # -- serial path -------------------------------------------------------
+    # -- the session ---------------------------------------------------------
 
-    def _compute_serial(self, order, results, batch) -> None:
-        if self.fault_policy is None:
-            # bulk vectorized computation; bit-identical to any chunking
-            for key, result in zip(order, self.target.compute_keys(order)):
-                results[key] = result
-            return
+    @property
+    def fused_active(self) -> bool:
+        """Whether the session has undrained batches."""
+        return bool(self._pending)
+
+    def fused_reset(self) -> None:
+        """Drop all session state (pending batches, shared results).
+
+        Call between independent runs; the worker pool itself survives
+        until :meth:`close`."""
+        self._pending.clear()
+        self._futures.clear()
+        self._fused_results.clear()
+        self._inflight.clear()
+
+    def fused_submit(
+        self,
+        target: SimulatedTarget,
+        configs: list[tuple[dict[str, int], int]],
+        region: str = "",
+    ) -> BatchResult:
+        """Enqueue one region's batch into the session.
+
+        Dedups against the batch itself, *target*'s ledger, the session's
+        results and in-flight chunks, and the disk cache, then dispatches
+        the cold remainder.  Returns at once — :meth:`fused_wait` delivers
+        the batch when every key it needs has landed.
+        """
+        t0 = time.perf_counter()
+        fp = target.fingerprint()
+        keys = [target.config_key(tiles, thr) for tiles, thr in configs]
+        stats = EngineStats(batches=1, configs=len(keys))
+
+        unique: dict[tuple, None] = {}
+        for key in keys:
+            if key in unique:
+                stats.deduped += 1
+            elif target.lookup(key) is not None:
+                stats.cache_hits += 1
+            else:
+                unique[key] = None
+        order = list(unique)
+        batch = BatchResult(target, region, fp, keys, order, stats, t0)
+
+        results = self._fused_results.setdefault(fp, {})
+        inflight = self._inflight.get(fp)
+        disk = target.has_disk_cache
+        compute = batch.compute
         for key in order:
-            results[key] = self._rescue(key, batch, first_attempt=1)
+            if key in results:
+                stats.shared_hits += 1
+            elif inflight and key in inflight:
+                stats.shared_hits += 1
+                inflight[key].waiters.append(batch)
+                batch.pending += 1
+            elif disk and (hit := target.disk_fetch(key)) is not None:
+                results[key] = hit
+                stats.disk_hits += 1
+            else:
+                compute.append(key)
+        stats.dispatched = len(compute)
+        if compute:
+            self._dispatch(batch, compute, results)
+        self._pending.append(batch)
+        return batch
 
-    # -- pooled path -------------------------------------------------------
+    def fused_wait(self) -> list[BatchResult]:
+        """Block until at least one pending batch is complete; commit and
+        return every complete batch (submission order).  Returns ``[]``
+        only when nothing is pending."""
+        t0 = time.perf_counter()
+        ready = self._drain()
+        m = self.obs.metrics
+        m.gauge(
+            "repro_scheduler_inflight_chunks",
+            "fused-session worker chunks currently in flight",
+        ).set(len(self._futures))
+        m.histogram(
+            "repro_scheduler_drain_seconds",
+            "coordinator wait time per fused drain",
+        ).observe(time.perf_counter() - t0)
+        for batch in ready:
+            s = batch.stats
+            self.obs.tracer.event(
+                "scheduler.batch",
+                region=batch.region,
+                configs=s.configs,
+                dispatched=s.dispatched,
+                cache_hits=s.cache_hits,
+                deduped=s.deduped,
+                shared_hits=s.shared_hits,
+                disk_hits=s.disk_hits,
+                new_evaluations=s.new_evaluations,
+                latency_s=s.wall_time_s,
+            )
+        return ready
+
+    # -- dispatch ------------------------------------------------------------
 
     def _chunks(self, keys: list[tuple]) -> list[tuple[tuple, ...]]:
         """Shard *keys* into the per-worker chunks of one fan-out: by
@@ -486,340 +518,205 @@ class EvaluationEngine:
         size = self.chunk_size or max(1, math.ceil(len(keys) / self.max_workers))
         return [tuple(keys[i : i + size]) for i in range(0, len(keys), size)]
 
-    def _submit_chunk(self, pool, chunk: tuple[tuple, ...], attempt: int):
-        if self.backend == "process":
-            return pool.submit(_proc_compute, chunk)
-        return pool.submit(self._compute_chunk, chunk, attempt)
+    def _dispatch(
+        self, batch: BatchResult, compute: list[tuple], results: dict
+    ) -> None:
+        """Compute inline (one worker, a degraded engine, or one chunk) or
+        fan the chunks out to the pool."""
+        chunks = self._chunks(compute)
+        if self.max_workers == 1 or self._degraded or len(chunks) == 1:
+            if self._degraded:
+                batch.stats.serial_fallbacks += 1
+            if self.fault_policy is None:
+                computed = batch.target.compute_keys(compute)
+            else:
+                computed = [
+                    self._rescue(key, batch.stats, 1, batch.target) for key in compute
+                ]
+            results.update(zip(compute, computed))
+            return
+        batch.pooled = True
+        batch.pending += len(chunks)
+        inflight = self._inflight.setdefault(batch.fp, {})
+        deadline = self._deadline()
+        for keys in chunks:
+            chunk = _Chunk(keys, batch, deadline=deadline)
+            inflight.update(dict.fromkeys(keys, chunk))
+            self._submit(chunk)
 
-    def _compute_parallel(self, order, results, batch) -> None:
-        remaining = list(order)
-        position = {key: i for i, key in enumerate(order)}
-        attempt = 1
-        pool = self._pool()
-        try:
-            while remaining and attempt <= 1 + self.retries:
-                if attempt > 1:
-                    batch.retried += len(remaining)
-                    time.sleep(self.backoff_s * (attempt - 1))
-                futures = {
-                    self._submit_chunk(pool, chunk, attempt): chunk
-                    for chunk in self._chunks(remaining)
-                }
-                # one deadline for the whole attempt: n stragglers cost one
-                # timeout budget, not n sequential ones
-                done, not_done = wait(set(futures), timeout=self.timeout_s)
-                still_failing = []
-                for future in not_done:
-                    batch.timeouts += 1
-                    future.cancel()
-                    still_failing.extend(futures[future])
-                for future in done:
-                    chunk = futures[future]
-                    try:
-                        chunk_results = future.result()
-                    except Exception:
-                        still_failing.extend(chunk)
-                    else:
-                        for key, result in zip(chunk, chunk_results):
-                            results[key] = result
-                # wait() hands back sets — restore batch order so retry
-                # chunking (and therefore accounting) is deterministic
-                still_failing.sort(key=position.__getitem__)
-                remaining = still_failing
-                attempt += 1
-        finally:
-            if self.backend == "thread":
-                # don't wait for abandoned (timed-out) workers
-                pool.shutdown(wait=False, cancel_futures=True)
+    def _deadline(self) -> float:
+        """One deadline for every chunk of a fan-out: n stragglers cost
+        one timeout budget, not n."""
+        if self.timeout_s is None:
+            return math.inf
+        return time.perf_counter() + self.timeout_s
 
-        if remaining:
-            batch.failed += len(remaining)
+    def _submit(self, chunk: _Chunk) -> None:
+        if self._executor is None:
+            if self.backend == "process":
+                self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
+            else:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.max_workers, thread_name_prefix="repro-eval"
+                )
+        future = self._executor.submit(
+            _compute_chunk,
+            chunk.owner.target,
+            chunk.keys,
+            chunk.attempt,
+            self.fault_policy,
+        )
+        chunk.executor = self._executor
+        self._futures[future] = chunk
+
+    # -- drain ---------------------------------------------------------------
+
+    def _drain(self) -> list[BatchResult]:
+        """Land chunks until a pending batch is ready; commit every ready
+        batch in submission order and return them."""
+        while self._futures and all(b.pending for b in self._pending):
+            self._land_some()
+        ready = [b for b in self._pending if not b.pending]
+        for batch in ready:
+            self._commit(batch)
+        self._pending = [b for b in self._pending if b.pending]
+        return ready
+
+    def _land_some(self) -> None:
+        """Wait for the first chunk to finish or the earliest deadline to
+        pass; land results, then retry or rescue what failed."""
+        timeout = None
+        if self.timeout_s is not None:
+            first = min(c.deadline for c in self._futures.values())
+            timeout = max(0.0, first - time.perf_counter())
+        done, _ = wait(self._futures, timeout=timeout, return_when=FIRST_COMPLETED)
+        failed = []
+        for future in done:
+            chunk = self._futures.pop(future)
+            try:
+                computed = future.result()
+            except Exception:
+                failed.append(chunk)
+            else:
+                self._land(chunk, computed)
+        now = time.perf_counter()
+        retire = False
+        for future in [
+            f for f, c in self._futures.items() if c.deadline <= now and not f.done()
+        ]:
+            chunk = self._futures.pop(future)
+            chunk.owner.stats.timeouts += 1
+            failed.append(chunk)
+            # a chunk that already started cannot be cancelled: its worker
+            # is abandoned, and so is the pool holding it
+            if not future.cancel() and chunk.executor is self._executor:
+                retire = True
+        if retire:
+            self._retire()
+        if failed:
+            self._retry_or_rescue(failed)
+
+    def _retire(self) -> None:
+        """Retire a pool that holds an abandoned worker: its running chunks
+        still finish, its queued ones move to a fresh pool (same attempt,
+        same deadline)."""
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = None
+        for future in [f for f in self._futures if f.cancelled()]:
+            self._submit(self._futures.pop(future))
+
+    def _retry_or_rescue(self, failed: list[_Chunk]) -> None:
+        retry = [c for c in failed if c.attempt <= self.retries]
+        if retry:
+            time.sleep(self.backoff_s * max(c.attempt for c in retry))
+            deadline = self._deadline()
+        for chunk in failed:
+            stats = chunk.owner.stats
+            if chunk.attempt <= self.retries:
+                stats.retried += len(chunk.keys)
+                chunk.attempt += 1
+                chunk.deadline = deadline
+                self._submit(chunk)
+            else:
+                # last line of defence: per-key serial rescue in this thread
+                stats.failed += len(chunk.keys)
+                first = chunk.attempt + 1
+                computed = [
+                    self._rescue(key, stats, first, chunk.owner.target)
+                    for key in chunk.keys
+                ]
+                self._land(chunk, computed)
+
+    def _land(self, chunk: _Chunk, computed: list) -> None:
+        fp = chunk.owner.fp
+        self._fused_results[fp].update(zip(chunk.keys, computed))
+        inflight = self._inflight[fp]
+        for key in chunk.keys:
+            del inflight[key]
+        chunk.owner.pending -= 1
+        for batch in chunk.waiters:
+            batch.pending -= 1
+
+    def _rescue(
+        self, key: tuple, stats: EngineStats, first_attempt: int, target
+    ) -> tuple[Objectives, Measurement]:
+        """Serial per-key computation with bounded retries; the last line
+        of defence — raises :class:`EvaluationError` if even this fails."""
+        last_error: Exception | None = None
+        for attempt in range(first_attempt, first_attempt + self.retries + 1):
+            try:
+                if self.fault_policy is not None:
+                    self.fault_policy.check(key, attempt, True)
+                return target.compute_keys([key])[0]
+            except Exception as exc:  # noqa: BLE001 — deliberate catch-all
+                last_error = exc
+                stats.retried += 1
+                time.sleep(self.backoff_s)
+        raise EvaluationError(
+            f"configuration {key} failed after {self.retries + 1} serial attempts"
+        ) from last_error
+
+    # -- commit --------------------------------------------------------------
+
+    def _commit(self, batch: BatchResult) -> None:
+        """Single-writer commit of one complete batch, in batch order."""
+        target, stats = batch.target, batch.stats
+        results = self._fused_results[batch.fp]
+        for key in batch.order:
+            if target.commit(key, *results[key]):
+                stats.new_evaluations += 1
+        if batch.compute and target.has_disk_cache:
+            target.disk_store_many([(key, *results[key]) for key in batch.compute])
+        batch.objectives = tuple(target.lookup(key) for key in batch.keys)
+        stats.wall_time_s = time.perf_counter() - batch.t0
+        batch.done = True
+
+        if stats.failed:
             self._strikes += 1
             if self._strikes >= self.degrade_after and not self._degraded:
                 self._degraded = True
                 self.obs.tracer.event(
                     "engine.degraded",
                     strikes=self._strikes,
-                    failed_configs=len(remaining),
+                    failed_configs=stats.failed,
                 )
-            # last line of defence: per-key serial rescue in this thread
-            for key in remaining:
-                results[key] = self._rescue(key, batch, first_attempt=attempt)
-        else:
+        elif batch.pooled:
             self._strikes = 0
-
-    def _pool(self):
-        if self.backend == "process":
-            if self._process_pool is None:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_proc_init,
-                    initargs=(self.target,),
-                )
-            return self._process_pool
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-eval"
-        )
-
-    def _compute_chunk(
-        self, keys: tuple[tuple, ...], attempt: int, target=None
-    ) -> list[tuple[Objectives, Measurement]]:
-        """Pure chunk computation (worker body): one vectorized
-        ``compute_keys`` call per chunk; a fault on any key fails the whole
-        chunk (its keys are retried together, then rescued per key).
-        *target* defaults to the engine's own; the fused session passes
-        each batch's region target explicitly."""
-        if self.fault_policy is not None:
-            for key in keys:
-                self.fault_policy.check(key, attempt, False)
-        return (target or self.target).compute_keys(list(keys))
-
-    def _compute_one(
-        self, key: tuple, attempt: int, serial: bool, target=None
-    ) -> tuple[Objectives, Measurement]:
-        """Pure per-configuration computation (rescue body)."""
-        if self.fault_policy is not None:
-            self.fault_policy.check(key, attempt, serial)
-        return (target or self.target).compute_keys([key])[0]
-
-    def _rescue(
-        self, key: tuple, batch: EngineStats, first_attempt: int, target=None
-    ) -> tuple[Objectives, Measurement]:
-        """Serial computation with bounded retries; the last line of
-        defence — raises :class:`EvaluationError` if even this fails."""
-        last_error: Exception | None = None
-        for attempt in range(first_attempt, first_attempt + self.retries + 1):
-            try:
-                return self._compute_one(key, attempt, serial=True, target=target)
-            except Exception as exc:  # noqa: BLE001 — deliberate catch-all
-                last_error = exc
-                batch.retried += 1
-                time.sleep(self.backoff_s)
-        raise EvaluationError(
-            f"configuration {key} failed after {self.retries + 1} serial attempts"
-        ) from last_error
-
-    # -- fused multi-target session (cross-region scheduling) --------------
-    #
-    # Several regions' batches — each against its own target — share one
-    # persistent pool.  Dedup happens at three levels: within the batch
-    # (deduped), against the batch's own ledger (cache_hits), and across
-    # the whole session by target fingerprint (shared_hits: a key another
-    # region computed, fetched from disk, or still has in flight).  The
-    # coordinator thread owns all session state — workers only ever run
-    # the pure compute_keys, so no locking beyond the targets' commit
-    # locks is needed.  Commits are per batch, in batch order, as soon as
-    # a batch's results have drained; results are therefore bit-identical
-    # for any worker count, chunk size, or completion interleaving.
-
-    @property
-    def fused_active(self) -> bool:
-        """Whether the fused session has undrained batches."""
-        return bool(self._fused_pending)
-
-    def fused_reset(self) -> None:
-        """Drop all fused-session state (pending batches, shared results).
-
-        Call between independent runs; the worker pool itself survives
-        until :meth:`close`."""
-        self._fused_pending.clear()
-        self._fused_futures.clear()
-        self._fused_results.clear()
-        self._fused_inflight.clear()
-
-    def fused_submit(
-        self,
-        target: SimulatedTarget,
-        configs: list[tuple[dict[str, int], int]],
-        region: str = "",
-    ) -> FusedBatch:
-        """Enqueue one region's batch into the fused session.
-
-        Dedups against the batch itself, *target*'s ledger, the session's
-        shared results, and sibling in-flight chunks; dispatches only the
-        cold remainder as ``ceil(B/workers)`` chunks onto the shared pool.
-        Returns immediately — :meth:`fused_wait` delivers the batch once
-        its results (own chunks plus awaited sibling keys) are in.
-        """
-        fp = target.fingerprint()
-        keys = [target.config_key(tiles, thr) for tiles, thr in configs]
-        bstats = EngineStats(batches=1, configs=len(keys))
-
-        pending: dict[tuple, None] = {}
-        for key in keys:
-            if key in pending:
-                bstats.deduped += 1
-            elif target.lookup(key) is not None:
-                bstats.cache_hits += 1
-            else:
-                pending[key] = None
-        order = list(pending)
-
-        compute: list[tuple] = []
-        for key in order:
-            gk = (fp, key)
-            if gk in self._fused_results:
-                bstats.shared_hits += 1
-            elif gk in self._fused_inflight:
-                bstats.shared_hits += 1
-            elif getattr(target, "has_disk_cache", False) and (
-                disk := target.disk_fetch(key)
-            ) is not None:
-                self._fused_results[gk] = disk
-                bstats.disk_hits += 1
-            else:
-                compute.append(key)
-        bstats.dispatched = len(compute)
-
-        batch = FusedBatch(
-            region=region,
-            target=target,
-            fp=fp,
-            keys=keys,
-            order=order,
-            needs={(fp, key) for key in order},
-            compute=compute,
-            stats=bstats,
-            t0=time.perf_counter(),
-        )
-        for chunk in self._chunks(compute):
-            future = self._fused_submit_chunk(chunk, target)
-            self._fused_futures[future] = (fp, chunk, batch)
-            self._fused_inflight.update((fp, key) for key in chunk)
-        self._fused_pending.append(batch)
-        return batch
-
-    def fused_wait(self) -> list[FusedBatch]:
-        """Block until at least one pending batch is complete; commit and
-        return every complete batch (submission order).  Returns ``[]``
-        only when nothing is pending.
-
-        A failed chunk is rescued per key serially in the caller's thread
-        (bounded retries, then :class:`EvaluationError`) — the fused path
-        trades the pooled retry/timeout dance for deterministic inline
-        rescue, since one straggler would stall every region behind it.
-        """
-        t0 = time.perf_counter()
-        while True:
-            ready = [
-                b
-                for b in self._fused_pending
-                if b.needs.issubset(self._fused_results.keys())
-            ]
-            if ready or not self._fused_futures:
-                break
-            done, _ = wait(set(self._fused_futures), return_when=FIRST_COMPLETED)
-            for future in done:
-                fp, chunk, owner = self._fused_futures.pop(future)
-                try:
-                    chunk_results = future.result()
-                except Exception:
-                    owner.stats.failed += len(chunk)
-                    chunk_results = [
-                        self._rescue(
-                            key, owner.stats, first_attempt=2, target=owner.target
-                        )
-                        for key in chunk
-                    ]
-                for key, result in zip(chunk, chunk_results):
-                    self._fused_results[(fp, key)] = result
-                    self._fused_inflight.discard((fp, key))
-
-        m = self.obs.metrics
-        m.gauge(
-            "repro_scheduler_inflight_chunks",
-            "fused-session worker chunks currently in flight",
-        ).set(len(self._fused_futures))
-        m.histogram(
-            "repro_scheduler_drain_seconds",
-            "coordinator wait time per fused drain",
-        ).observe(time.perf_counter() - t0)
-
-        for batch in ready:
-            self._fused_commit(batch)
-            self._fused_pending.remove(batch)
-        return ready
-
-    def _fused_submit_chunk(self, chunk: tuple[tuple, ...], target):
-        pool = self._fused_pool
-        if pool is None:
-            if self.backend == "process":
-                pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            else:
-                pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-fused",
-                )
-            self._fused_pool = pool
-        if self.backend == "process":
-            # the target pickles only its pure measurement state, so
-            # shipping it per chunk costs one small pickle, no ledger
-            return pool.submit(_proc_compute_target, target, chunk)
-        return pool.submit(self._compute_chunk, chunk, 1, target)
-
-    def _fused_commit(self, batch: FusedBatch) -> None:
-        """Single-writer commit of one complete batch, in batch order."""
-        for key in batch.order:
-            obj, measurement = self._fused_results[(batch.fp, key)]
-            if batch.target.commit(key, obj, measurement):
-                batch.stats.new_evaluations += 1
-        if batch.compute and getattr(batch.target, "has_disk_cache", False):
-            batch.target.disk_store_many(
-                [
-                    (key, *self._fused_results[(batch.fp, key)])
-                    for key in batch.compute
-                ]
-            )
-        batch.objectives = tuple(batch.target.lookup(key) for key in batch.keys)
-        batch.stats.wall_time_s = time.perf_counter() - batch.t0
-        batch.done = True
-        self.obs.tracer.event(
-            "scheduler.batch",
-            region=batch.region,
-            configs=batch.stats.configs,
-            dispatched=batch.stats.dispatched,
-            cache_hits=batch.stats.cache_hits,
-            deduped=batch.stats.deduped,
-            shared_hits=batch.stats.shared_hits,
-            disk_hits=batch.stats.disk_hits,
-            new_evaluations=batch.stats.new_evaluations,
-            latency_s=batch.stats.wall_time_s,
-        )
-        self._observe_batch(batch.stats)
-        self.stats.merge(batch.stats)
+        self._observe_batch(stats)
+        self.stats.merge(stats)
 
 
-# -- process-backend worker half ------------------------------------------
-#
-# The target's __getstate__ ships only the pure measurement function (model
-# + noise parameters) to each worker process once, at pool start; chunks
-# then cross the pipe as plain key tuples and results as (Objectives,
-# Measurement) pairs.  The parent keeps the ledger and commits serially,
-# exactly as with the thread backend.
-
-_PROC_TARGET: SimulatedTarget | None = None
-
-
-def _proc_init(target: SimulatedTarget) -> None:
-    global _PROC_TARGET
-    _PROC_TARGET = target
-
-
-def _proc_compute(keys: tuple[tuple, ...]) -> list[tuple[Objectives, Measurement]]:
-    assert _PROC_TARGET is not None, "worker process was not initialized"
-    return _PROC_TARGET.compute_keys(list(keys))
-
-
-def _proc_compute_target(
-    target: SimulatedTarget, keys: tuple[tuple, ...]
+def _compute_chunk(
+    target: SimulatedTarget,
+    keys: tuple[tuple, ...],
+    attempt: int,
+    fault_policy: FaultPolicy | None,
 ) -> list[tuple[Objectives, Measurement]]:
-    """Fused-session process worker: the session serves many targets, so no
-    single target can be pinned at pool init — each chunk ships its own
-    (the pickle carries only pure measurement state, no ledger)."""
+    """Worker body: one vectorized ``compute_keys`` call; a fault on any
+    key fails the whole chunk.  The chunk ships its own target — for the
+    process backend the pickle carries only pure measurement state, no
+    ledger."""
+    if fault_policy is not None:
+        for key in keys:
+            fault_policy.check(key, attempt, False)
     return target.compute_keys(list(keys))
-
-
-#: Backwards-compatible alias — the old BatchEvaluator interface
-#: (``BatchEvaluator(target, max_workers=n).evaluate_batch(configs)``) is a
-#: strict subset of the engine's.
-BatchEvaluator = EvaluationEngine

@@ -26,7 +26,6 @@ import numpy as np
 from repro.obs import DISABLED, ConvergenceRecord, emit_generation, population_delta
 from repro.optimizer.archive import ParetoArchive
 from repro.optimizer.config import Configuration
-from repro.optimizer.hypervolume import hypervolume
 from repro.optimizer.gde3 import GDE3, GDE3Settings
 from repro.optimizer.pareto import non_dominated
 from repro.optimizer.problem import TuningProblem
@@ -186,11 +185,6 @@ class RSGDE3:
             hv_history=tuple(hv_history),
             convergence=tuple(convergence),
         )
-
-    @staticmethod
-    def _front_hv(population: list[Configuration], ref: np.ndarray) -> float:
-        objs = np.array([c.objectives for c in population])
-        return hypervolume(objs, ref)
 
 
 def _dedupe(front: list[Configuration]) -> list[Configuration]:

@@ -19,6 +19,9 @@ that the production paths compute the same numbers bit for bit:
 - :func:`simplify` — the fixpoint simplifier over the field-inspecting,
   deep-``!=`` :func:`transform` that ``repro.ir.simplify.simplify`` turned
   into one identity-checked bottom-up pass.
+- :func:`run_lockstep` — the serial region-by-region multi-region loop
+  that ``MultiRegionTuner.run`` schedules over one shared engine session
+  (also the wall-clock baseline of the multi-region benchmark).
 
 Do not "fix" these: a change here changes what the tests hold the
 production code to.
@@ -31,9 +34,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 
+from repro.driver.multiregion import MultiRegionResult, MultiRegionTuner, _RegionState
 from repro.evaluation.cost import RegionCostModel, Stream
+from repro.evaluation.parallel_eval import EngineStats
 from repro.ir.nodes import Node
 from repro.ir.simplify import _rule
+from repro.obs import DISABLED
 from repro.optimizer.config import Configuration
 from repro.optimizer.pareto import dominates
 from repro.machine.topology import place_threads
@@ -49,6 +55,7 @@ __all__ = [
     "node_children",
     "simplify",
     "transform",
+    "run_lockstep",
 ]
 
 _U64 = float(1 << 64)
@@ -435,3 +442,43 @@ def simplify(node: Node) -> Node:
             return nxt
         prev = nxt
     return prev
+
+
+# -- multi-region scheduling -----------------------------------------------------
+
+
+def run_lockstep(tuner: MultiRegionTuner, seed: int = 0) -> MultiRegionResult:
+    """Each program generation, every unfinished region proposes its
+    trials, evaluates them through its own serial engine and selects,
+    region by region."""
+    obs = tuner.obs or DISABLED
+    problems = tuner._build_problems()
+    states = [
+        _RegionState(i, p, tuner.settings, seed) for i, p in enumerate(problems)
+    ]
+
+    for st in states:
+        vectors = st.full.sample(st.rng, tuner.settings.gde3.population_size)
+        st.values_list, configs = st.problem.batch_configs(vectors)
+        st.batch = st.problem.evaluation_engine.evaluate_batch(configs)
+        st.absorb(obs)
+
+    while any(not st.finished for st in states):
+        for st in states:
+            if st.finished:
+                continue
+            vectors = st.optimizer.propose(st.population, st.boundary, st.rng)
+            st.values_list, configs = st.problem.batch_configs(vectors)
+            st.batch = st.problem.evaluation_engine.evaluate_batch(configs)
+            st.absorb(obs)
+
+    stats = EngineStats()
+    for st in states:
+        stats.merge(st.problem.evaluation_engine.stats)
+    generations = max(st.gen for st in states)
+    return MultiRegionResult(
+        results=tuple(st.result(generations) for st in states),
+        program_runs=tuner.settings.gde3.population_size * (1 + generations),
+        generations=generations,
+        engine_stats=stats,
+    )

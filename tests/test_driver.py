@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,29 @@ class TestTuneKernel:
             TuningDriver(settings=FAST_SETTINGS).tune_kernel(
                 "mm", sizes={"N": 200}, optimizer="sa"
             )
+
+
+class TestEngineReleased:
+    """Tuning closes the engine it built: no worker process, pool thread or
+    queue feeder outlives ``tune_kernel``, and the accounting stays
+    readable afterwards."""
+
+    @pytest.mark.parametrize("workers, backend", [(2, "process"), (4, "thread")])
+    def test_no_worker_outlives_tuning(self, workers, backend):
+        # only what this tune starts counts: earlier tests may have left
+        # deliberately abandoned (timed-out) workers behind
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        driver = TuningDriver(machine=WESTMERE, workers=workers, backend=backend)
+        tuned = driver.tune_kernel("mm")
+        assert set(multiprocessing.active_children()) <= children
+        leftover = [
+            t.name
+            for t in set(threading.enumerate()) - threads
+            if t.name.startswith("repro-") or t.name == "QueueFeederThread"
+        ]
+        assert leftover == []
+        assert tuned.engine.stats.dispatched == tuned.result.evaluations > 0
 
 
 class TestVersionTableIntegration:

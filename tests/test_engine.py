@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.evaluation.parallel_eval import (
-    BatchEvaluator,
     EngineStats,
     EvaluationEngine,
     EvaluationError,
@@ -170,13 +169,21 @@ class TestConcurrencyStress:
 
 
 class TestFaultTolerance:
+    """The fault policy (deadline, retry, per-key rescue, degradation) on
+    the blocking entry point; :class:`TestSessionFaultTolerance` reruns
+    every case through the multi-target session."""
+
+    @staticmethod
+    def run_batch(engine, configs):
+        return engine.evaluate_batch(configs)
+
     def test_transient_fault_is_retried(self, mm_model):
         target = fresh_target(mm_model)
         policy = FlakyFaultPolicy(fail_attempts=1)
         engine = EvaluationEngine(
             target, max_workers=4, retries=2, backoff_s=0.0, fault_policy=policy
         )
-        res = engine.evaluate_batch(some_configs(6, duplicate_every=0))
+        res = self.run_batch(engine, some_configs(6, duplicate_every=0))
         assert res.new_evaluations == 6
         assert engine.stats.retried >= 6
         assert engine.stats.failed == 0
@@ -195,7 +202,7 @@ class TestFaultTolerance:
         )
         configs = some_configs(8, duplicate_every=0)
         a = clean.evaluate_batch(configs)
-        b = flaky.evaluate_batch(configs)
+        b = self.run_batch(flaky, configs)
         assert [o.time for o in a.objectives] == [o.time for o in b.objectives]
         assert clean_target.evaluations == flaky_target.evaluations
 
@@ -210,7 +217,7 @@ class TestFaultTolerance:
             backoff_s=0.0,
             fault_policy=policy,
         )
-        res = engine.evaluate_batch(some_configs(2, duplicate_every=0))
+        res = self.run_batch(engine, some_configs(2, duplicate_every=0))
         assert res.new_evaluations == 2
         assert engine.stats.timeouts >= 1
 
@@ -225,7 +232,7 @@ class TestFaultTolerance:
             degrade_after=2,
             fault_policy=policy,
         )
-        res = engine.evaluate_batch(some_configs(5, duplicate_every=0))
+        res = self.run_batch(engine, some_configs(5, duplicate_every=0))
         assert res.new_evaluations == 5  # serial rescue computed them all
         assert engine.stats.failed == 5
         assert not engine.degraded  # one strike so far
@@ -241,11 +248,11 @@ class TestFaultTolerance:
             degrade_after=2,
             fault_policy=policy,
         )
-        engine.evaluate_batch(some_configs(4, duplicate_every=0))
-        engine.evaluate_batch(some_configs(8, duplicate_every=0)[4:])
+        self.run_batch(engine, some_configs(4, duplicate_every=0))
+        self.run_batch(engine, some_configs(8, duplicate_every=0)[4:])
         assert engine.degraded
         # degraded batches run serially (fault policy spares serial mode)
-        res = engine.evaluate_batch([({"i": 100, "j": 100, "k": 100}, 20)])
+        res = self.run_batch(engine, [({"i": 100, "j": 100, "k": 100}, 20)])
         assert res.stats.serial_fallbacks == 1
         assert res.new_evaluations == 1
         engine.reset_faults()
@@ -258,15 +265,27 @@ class TestFaultTolerance:
             target, max_workers=2, retries=1, backoff_s=0.0, fault_policy=policy
         )
         with pytest.raises(EvaluationError):
-            engine.evaluate_batch(some_configs(3, duplicate_every=0))
+            self.run_batch(engine, some_configs(3, duplicate_every=0))
 
     def test_serial_engine_with_fault_policy(self, mm_model):
         """workers=1 engines run the same retry machinery inline."""
         target = fresh_target(mm_model)
         policy = FlakyFaultPolicy(fail_attempts=99)  # serial attempts pass
         engine = EvaluationEngine(target, max_workers=1, fault_policy=policy)
-        res = engine.evaluate_batch(some_configs(3, duplicate_every=0))
+        res = self.run_batch(engine, some_configs(3, duplicate_every=0))
         assert res.new_evaluations == 3
+
+
+class TestSessionFaultTolerance(TestFaultTolerance):
+    """Every fault-tolerance case again, with the batch submitted to the
+    session and drained through ``fused_wait``."""
+
+    @staticmethod
+    def run_batch(engine, configs):
+        batch = engine.fused_submit(engine.target, configs, region="r")
+        while not batch.done:
+            engine.fused_wait()
+        return batch
 
 
 class TestEngineConfig:
@@ -278,9 +297,6 @@ class TestEngineConfig:
     def test_invalid_workers_rejected(self, mm_model):
         with pytest.raises(ValueError):
             EvaluationEngine(fresh_target(mm_model), max_workers=0)
-
-    def test_batch_evaluator_alias(self, mm_model):
-        assert BatchEvaluator is EvaluationEngine
 
     def test_stats_merge(self):
         a = EngineStats(batches=1, configs=3, dispatched=2, cache_hits=1)
@@ -494,13 +510,13 @@ class TestProcessBackend:
             assert res.objectives == ref.objectives
             assert target.evaluations == ref_target.evaluations
             # the pool is cached across batches
-            pool = engine._process_pool
+            pool = engine._executor
             assert pool is not None
             engine.evaluate_batch(configs)  # all memo hits, pool untouched
-            assert engine._process_pool is pool
+            assert engine._executor is pool
         finally:
             engine.close()
-        assert engine._process_pool is None
+        assert engine._executor is None
 
     def test_fault_policy_incompatible(self, mm_model):
         with pytest.raises(ValueError):
@@ -632,7 +648,7 @@ class TestFusedSession:
         ref = EvaluationEngine(ref_target).evaluate_batch(some_configs(8))
 
         engine = EvaluationEngine(
-            target, max_workers=4, fault_policy=policy, backoff_s=0.0
+            target, max_workers=4, fault_policy=policy, retries=0, backoff_s=0.0
         )
         batch = engine.fused_submit(target, some_configs(8), region="r")
         self.drain(engine)
@@ -688,3 +704,58 @@ class TestFusedSession:
         assert attrs["configs"] == 9
         m = obs.metrics.as_dict()
         assert m["repro_scheduler_drain_seconds"]["count"] >= 1
+
+    def test_evaluate_batch_refuses_a_busy_session(self, mm_model):
+        """evaluate_batch drains the whole session, so it must not run
+        while another caller's batches are in flight."""
+        target = fresh_target(mm_model)
+        engine = EvaluationEngine(target, max_workers=2)
+        engine.fused_submit(target, some_configs(4), region="r")
+        with pytest.raises(RuntimeError):
+            engine.evaluate_batch(some_configs(2))
+        assert [b.region for b in self.drain(engine)] == ["r"]
+        engine.close()
+
+    def test_hung_region_times_out_without_stalling_the_session(self, mm_model):
+        """One region's chunks sleep far past ``timeout_s``: the sibling
+        region commits first, the hung chunks are abandoned and retried on
+        a fresh pool, and every result and E matches serial evaluation."""
+        import time as _time
+
+        configs = [
+            some_configs(8, duplicate_every=0),
+            [({"i": 8 + 8 * i, "j": 32, "k": 16}, 20) for i in range(8)],
+        ]
+        refs = []
+        for seed, batch_configs in zip((0, 1), configs):
+            t = fresh_target(mm_model, seed=seed)
+            refs.append((t, EvaluationEngine(t).evaluate_batch(batch_configs)))
+
+        targets = [fresh_target(mm_model, seed=s) for s in (0, 1)]
+        slow = frozenset(targets[1].config_key(t, thr) for t, thr in configs[1])
+        engine = EvaluationEngine(
+            targets[0],
+            max_workers=4,
+            timeout_s=0.1,
+            retries=1,
+            backoff_s=0.0,
+            fault_policy=FlakyFaultPolicy(slow_attempts=1, delay_s=2.0, keys=slow),
+        )
+        t0 = _time.perf_counter()
+        batches = [
+            engine.fused_submit(t, c, region=str(i))
+            for i, (t, c) in enumerate(zip(targets, configs))
+        ]
+        first = engine.fused_wait()
+        done = first + self.drain(engine)
+        elapsed = _time.perf_counter() - t0
+        engine.close()
+
+        assert [b.region for b in first] == ["0"]  # not held behind region 1
+        assert [b.region for b in done] == ["0", "1"]
+        assert elapsed < 1.0  # never waited out a sleeping worker
+        assert batches[1].stats.timeouts >= 1 and batches[0].stats.timeouts == 0
+        assert engine.stats.timeouts == batches[1].stats.timeouts
+        for batch, target, (ref_t, ref) in zip(batches, targets, refs):
+            assert batch.objectives == ref.objectives
+            assert target.evaluations == ref_t.evaluations

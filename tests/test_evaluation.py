@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import extract_regions
 from repro.evaluation import (
-    BatchEvaluator,
+    EvaluationEngine,
     MeasurementProtocol,
     Objectives,
     RegionCostModel,
@@ -403,7 +403,7 @@ class TestSimulatedTarget:
         tgt_a = SimulatedTarget(mm_model, seed=9)
         tgt_b = SimulatedTarget(mm_model, seed=9)
         configs = [({"i": 32, "j": 64, "k": 8}, 10), ({"i": 16, "j": 128, "k": 4}, 20)]
-        batch = BatchEvaluator(tgt_a).evaluate_batch(configs)
+        batch = EvaluationEngine(tgt_a).evaluate_batch(configs)
         singles = [tgt_b.evaluate(tiles, threads) for tiles, threads in configs]
         assert [o.time for o in batch.objectives] == [o.time for o in singles]
         assert batch.new_evaluations == tgt_b.evaluations == len(configs)
@@ -416,14 +416,14 @@ class TestSimulatedTarget:
 
 class TestBatchEvaluator:
     def test_preserves_order(self, mm_target):
-        be = BatchEvaluator(mm_target)
+        be = EvaluationEngine(mm_target)
         configs = [({"i": 32, "j": 64, "k": 8}, t) for t in (1, 10, 40)]
         res = be.evaluate_batch(configs)
         assert [o.threads for o in res.objectives] == [1, 10, 40]
         assert res.new_evaluations == 3
 
     def test_thread_pool_path(self, mm_target):
-        be = BatchEvaluator(mm_target, max_workers=4)
+        be = EvaluationEngine(mm_target, max_workers=4)
         configs = [({"i": 16 * t, "j": 64, "k": 8}, 10) for t in range(1, 9)]
         res = be.evaluate_batch(configs)
         assert len(res.objectives) == 8

@@ -12,6 +12,8 @@ from repro.machine import WESTMERE
 from repro.optimizer.gde3 import GDE3Settings
 from repro.optimizer.rsgde3 import RSGDE3Settings
 
+from tests.oracles import run_lockstep
+
 FAST = RSGDE3Settings(
     gde3=GDE3Settings(population_size=12), max_generations=10, patience=2
 )
@@ -121,11 +123,11 @@ class TestMultiRegionTuner:
 
 class TestCrossRegionScheduler:
     """The fused scheduler must be bit-identical to the serial lock-step
-    reference for any worker count, chunk size and lag setting."""
+    oracle for any worker count, chunk size and lag setting."""
 
     @pytest.fixture(scope="class")
     def lockstep(self):
-        return jacobi_tuner().run_lockstep(seed=2)
+        return run_lockstep(jacobi_tuner(), seed=2)
 
     @pytest.mark.parametrize("workers", [1, 4, 8])
     @pytest.mark.parametrize("chunk_size", [1, None])
@@ -205,7 +207,7 @@ class TestCrossRegionDedup:
         assert problems[0].target.fingerprint() == problems[1].target.fingerprint()
 
     def test_shared_hits_and_exact_ledger(self, twin_fn):
-        ref = self.make(twin_fn).run_lockstep(seed=4)
+        ref = run_lockstep(self.make(twin_fn), seed=4)
         got = self.make(twin_fn, workers=4).run(seed=4)
         # sharing never distorts the ledger: per-region E, program_runs
         # and fronts are exactly the lock-step values

@@ -327,18 +327,16 @@ class TestRSGDE3:
         (contributing their in-box share: zero for the escaped coordinate),
         never make the hypervolume NaN/negative, and must not mask the gain
         of points that *did* improve inside the box."""
+        from repro.optimizer.hypervolume import hypervolume
+
         ref = np.array([1.0, 1.0])
-
-        def pop(objs):
-            return [Configuration.make({"x": i}, o) for i, o in enumerate(objs)]
-
-        hv0 = RSGDE3._front_hv(pop([(0.6, 0.6)]), ref)
+        hv0 = hypervolume(np.array([(0.6, 0.6)]), ref)
         # next generation: one point escapes ref in objective 2 while a
         # second improves strictly inside the initial envelope
-        hv1 = RSGDE3._front_hv(pop([(0.2, 1.8), (0.4, 0.4)]), ref)
+        hv1 = hypervolume(np.array([(0.2, 1.8), (0.4, 0.4)]), ref)
         assert hv1 > hv0  # improvement registers; patience is not tripped
         # a fully escaped front degrades to zero, not to an error
-        hv2 = RSGDE3._front_hv(pop([(0.2, 1.8), (1.5, 0.3)]), ref)
+        hv2 = hypervolume(np.array([(0.2, 1.8), (1.5, 0.3)]), ref)
         assert hv2 == 0.0
 
     def test_escaped_envelope_run_converges(self):
