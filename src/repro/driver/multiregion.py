@@ -136,7 +136,7 @@ class _RegionState:
         self.evals_before = problem.evaluations
         # in-flight bookkeeping
         self.batch: BatchResult | None = None
-        self.values_list: list[dict[str, int]] | None = None
+        self.values: np.ndarray | None = None
 
     # -- propose / absorb: the two halves of one generation ---------------
 
@@ -151,19 +151,21 @@ class _RegionState:
             vectors = self.optimizer.propose(
                 self.population, self.boundary, self.rng
             )
-        self.values_list, configs = self.problem.batch_configs(vectors)
+        self.values = self.problem.decode(vectors)
         self.batch = engine.fused_submit(
-            self.problem.target, configs, region=str(self.idx)
+            self.problem.target,
+            self.problem.config_keys(self.values),
+            region=str(self.idx),
         )
 
     def absorb(self, obs: Observability) -> None:
         """Fold the drained batch back into the optimizer state: select,
         rough-set update, telemetry, stall check."""
-        trial_configs = self.problem.make_configurations(
-            self.values_list, self.batch.objectives
+        trial_configs = self.problem.configurations(
+            self.values, self.problem.objective_matrix(self.batch)
         )
         self.batch = None
-        self.values_list = None
+        self.values = None
         self.gen += 1
 
         if self.population is None:

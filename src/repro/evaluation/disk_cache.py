@@ -18,8 +18,13 @@ Design points:
   entries; bumping :data:`SCHEMA_VERSION` rotates every fingerprint and
   therefore invalidates all previous caches at once;
 * **append-only JSONL** — commits append one line per configuration;
-  torn or corrupt lines (crashed writer, concurrent appender) are
-  skipped on load instead of poisoning the shard;
+  torn or corrupt lines (crashed writer, concurrent appender, bit rot)
+  are skipped on load instead of poisoning the shard: undecodable bytes,
+  lines that are not a JSON object, and records whose key is not a list
+  of integers or whose time, samples or energy are not finite positive
+  numbers.  An append after a torn last line starts on a fresh line,
+  and a shard whose header names another fingerprint (a damaged header)
+  is treated as empty and started afresh on the next store;
 * **exact round-trip** — floats are serialized with ``repr``-fidelity
   JSON, so a configuration served from disk is bit-identical to the one
   that was measured, samples included.  The evaluation ledger still
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -46,6 +52,39 @@ SCHEMA_VERSION = 1
 
 #: default cache root used by the CLI's bare ``--cache-dir`` flag
 DEFAULT_CACHE_DIR = "~/.cache/repro"
+
+
+def _positive(x) -> bool:
+    """Whether a decoded JSON value is a finite positive number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x) and x > 0
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _record(d: dict) -> tuple[tuple, tuple[Objectives, Measurement]] | None:
+    """A measurement line's (key, (Objectives, Measurement)), or None if
+    the line cannot be one the cache wrote."""
+    key, value, samples, energy = d.get("k"), d.get("v"), d.get("s"), d.get("e")
+    if not (
+        isinstance(key, list)
+        and key
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in key)
+        and _positive(value)
+        and isinstance(samples, list)
+        and samples
+        and all(_positive(x) for x in samples)
+        and (energy is None or _positive(energy))
+    ):
+        return None
+    key = tuple(key)
+    value = float(value)
+    obj = Objectives(
+        time=value, threads=key[-1], energy=None if energy is None else float(energy)
+    )
+    return key, (obj, Measurement(value=value, samples=tuple(float(x) for x in samples)))
 
 
 def _fingerprint(*parts: object) -> str:
@@ -63,6 +102,11 @@ class _Shard:
         self.path = path
         self.fingerprint = fingerprint
         self._records: dict[tuple, tuple[Objectives, Measurement]] | None = None
+        #: whether the file ends inside a line (a torn write)
+        self._torn = False
+        #: whether the file's header names another fingerprint (a damaged
+        #: header: the file's name is the fingerprint)
+        self._foreign = False
         self._lock = threading.Lock()
 
     # -- load -----------------------------------------------------------
@@ -71,39 +115,31 @@ class _Shard:
         if self._records is not None:
             return self._records
         records: dict[tuple, tuple[Objectives, Measurement]] = {}
+        self._foreign = False
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
+            with open(self.path, "rb") as fh:
+                for raw in fh:
+                    self._torn = not raw.endswith(b"\n")
+                    if self._foreign:
                         continue
                     try:
-                        d = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn/corrupt line: skip, don't poison
+                        d = json.loads(raw.decode("utf-8"))
+                    except (ValueError, RecursionError):
+                        continue  # torn, corrupt or undecodable: skip
+                    if not isinstance(d, dict):
+                        continue
                     if "schema" in d:
-                        if d.get("fingerprint") != self.fingerprint:
-                            return {}  # foreign header: treat as empty
+                        self._foreign = d.get("fingerprint") != self.fingerprint
                         continue
-                    try:
-                        key = tuple(int(v) for v in d["k"])
-                        samples = tuple(float(s) for s in d["s"])
-                        energy = d.get("e")
-                        obj = Objectives(
-                            time=float(d["v"]),
-                            threads=key[-1],
-                            energy=None if energy is None else float(energy),
-                        )
-                        records[key] = (
-                            obj,
-                            Measurement(value=float(d["v"]), samples=samples),
-                        )
-                    except (KeyError, TypeError, ValueError, IndexError):
-                        continue
+                    record = _record(d)
+                    if record is not None:
+                        records[record[0]] = record[1]
         except OSError:
             pass  # no shard yet
-        self._records = records
-        return records
+        # a foreign header: the shard is treated as empty, and rewritten on
+        # the next store so that what it stores can be read back
+        self._records = {} if self._foreign else records
+        return self._records
 
     # -- queries --------------------------------------------------------
 
@@ -133,9 +169,12 @@ class _Shard:
             ]
             if not fresh:
                 return 0
-            new_file = not self.path.exists()
+            new_file = self._foreign or not self.path.exists()
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
+            with open(self.path, "w" if new_file else "a", encoding="utf-8") as fh:
+                if self._torn and not new_file:
+                    fh.write("\n")  # never extend a torn line
+                self._torn = self._foreign = False
                 if new_file:
                     fh.write(
                         json.dumps(

@@ -11,29 +11,32 @@ against its *own* target — may be in flight at once (paper §III-A: one
 program execution measures every simultaneously tuned region).  A batch
 runs through three stages:
 
-1. **dedup** — configurations are canonicalized (via the target's
-   ``config_key``) and deduplicated within the batch (``deduped``),
-   against the target's memo cache (``cache_hits``), against the session's
-   results and in-flight chunks by target fingerprint (``shared_hits``:
-   equal fingerprints measure identically, so one computation serves every
-   region that shares one) and against the persistent disk cache
-   (``disk_hits``), so each unique configuration is computed at most once;
+1. **dedup** — a batch arrives as one canonical int64 key matrix (the
+   target's ``config_keys``; ``(tile_sizes, threads)`` pairs are converted
+   to one first) and is deduplicated against the target's memo cache in
+   one locked pass (``cache_hits``), within the batch (``deduped``),
+   against the session's results and in-flight chunks by target
+   fingerprint (``shared_hits``: equal fingerprints measure identically,
+   so one computation serves every region that shares one) and against
+   the persistent disk cache (``disk_hits``), so each unique
+   configuration is computed at most once;
 2. **dispatch** — the cold remainder is sharded into ``ceil(B/workers)``
    **chunks** (``max_workers="auto"`` sizes the pool at three quarters of
    the visible cores, the MITuna default), each one *vectorized*
    ``compute_keys(chunk)`` call, so the NumPy batch path is never traded
    away for parallelism.  One worker, or a batch that fits one chunk,
    computes inline in the caller's thread.  Workers are *pure*: they
-   return ``key → (Objectives, Measurement)`` without touching a ledger.
+   return the chunk's measured columns without touching a ledger.
    ``backend="thread"`` shares the model; ``backend="process"`` ships each
    chunk's target (only its pure measurement state pickles) to a
    ``ProcessPoolExecutor`` for true parallelism;
 3. **commit** — once every key a batch needs has landed, the engine
-   commits it serially, in batch order, through the target's locked
-   single-writer ``commit``, then persists the chunks the batch computed
-   to the disk cache.  Because measurement noise is hash-derived per key,
-   results are bit-identical to the serial path and the ``E`` metric
-   (paper Table VI) stays exact however many workers race.
+   commits it in batch order through the target's single-writer
+   ``commit_many`` (one lock per batch), then persists the chunks the
+   batch computed to the disk cache.  Because measurement noise is
+   hash-derived per key, results are bit-identical to the serial path and
+   the ``E`` metric (paper Table VI) stays exact however many workers
+   race.
 
 :meth:`EvaluationEngine.evaluate_batch` submits one batch for the engine's
 own target and drains it; :meth:`~EvaluationEngine.fused_submit` /
@@ -65,9 +68,10 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field, fields
 
-from repro.evaluation.measurements import Measurement
+import numpy as np
+
 from repro.evaluation.objectives import Objectives
-from repro.evaluation.simulator import SimulatedTarget
+from repro.evaluation.simulator import MeasuredKeys, Record, SimulatedTarget
 from repro.obs import DISABLED, Observability
 
 __all__ = [
@@ -236,7 +240,9 @@ class BatchResult:
     target: SimulatedTarget
     region: str
     fp: str
-    #: every submitted canonical key, input order
+    #: the submitted (B, len(band) + 1) canonical key matrix
+    matrix: np.ndarray
+    #: its rows as the ledger's key tuples, input order
     keys: list[tuple]
     #: the unique ledger-miss keys this batch commits, in batch order
     order: list[tuple]
@@ -275,8 +281,9 @@ class EvaluationEngine:
     """Parallel, fault-tolerant batch evaluator over a target platform.
 
     :param target: the (simulated) platform :meth:`evaluate_batch`
-        measures; must provide ``config_key``, ``lookup``, pure
-        ``compute_keys`` and single-writer ``commit``.
+        measures; must provide ``pair_keys``, ``missing``, pure
+        ``compute_keys``, single-writer ``commit_many`` and
+        ``lookup_many``.
     :param max_workers: worker pool width; ``"auto"`` →
         :func:`auto_workers`, 1 (the default) computes inline through the
         same pipeline.
@@ -374,10 +381,9 @@ class EvaluationEngine:
 
     # ------------------------------------------------------------------
 
-    def evaluate_batch(
-        self, configs: list[tuple[dict[str, int], int]]
-    ) -> BatchResult:
-        """Evaluate ``[(tile_sizes, threads), ...]`` against the engine's
+    def evaluate_batch(self, configs) -> BatchResult:
+        """Evaluate a canonical key matrix (the target's ``config_keys``)
+        or ``[(tile_sizes, threads), ...]`` pairs against the engine's
         target — a one-batch session — and return the committed batch.
 
         Results are bit-identical for any ``max_workers`` and the ledger's
@@ -427,13 +433,10 @@ class EvaluationEngine:
         self._fused_results.clear()
         self._inflight.clear()
 
-    def fused_submit(
-        self,
-        target: SimulatedTarget,
-        configs: list[tuple[dict[str, int], int]],
-        region: str = "",
-    ) -> BatchResult:
-        """Enqueue one region's batch into the session.
+    def fused_submit(self, target: SimulatedTarget, configs, region: str = "") -> BatchResult:
+        """Enqueue one region's batch — a key matrix from *target*'s
+        ``config_keys``, or ``(tile_sizes, threads)`` pairs — into the
+        session.
 
         Dedups against the batch itself, *target*'s ledger, the session's
         results and in-flight chunks, and the disk cache, then dispatches
@@ -442,19 +445,21 @@ class EvaluationEngine:
         """
         t0 = time.perf_counter()
         fp = target.fingerprint()
-        keys = [target.config_key(tiles, thr) for tiles, thr in configs]
-        stats = EngineStats(batches=1, configs=len(keys))
-
-        unique: dict[tuple, None] = {}
-        for key in keys:
-            if key in unique:
-                stats.deduped += 1
-            elif target.lookup(key) is not None:
-                stats.cache_hits += 1
-            else:
-                unique[key] = None
-        order = list(unique)
-        batch = BatchResult(target, region, fp, keys, order, stats, t0)
+        configs = (
+            np.asarray(configs, dtype=np.int64)
+            if isinstance(configs, np.ndarray)
+            else target.pair_keys(configs)
+        )
+        keys = list(map(tuple, configs.tolist()))
+        misses = target.missing(keys)
+        order = list(dict.fromkeys(misses))
+        stats = EngineStats(
+            batches=1,
+            configs=len(keys),
+            cache_hits=len(keys) - len(misses),
+            deduped=len(misses) - len(order),
+        )
+        batch = BatchResult(target, region, fp, configs, keys, order, stats, t0)
 
         results = self._fused_results.setdefault(fp, {})
         inflight = self._inflight.get(fp)
@@ -528,7 +533,7 @@ class EvaluationEngine:
             if self._degraded:
                 batch.stats.serial_fallbacks += 1
             if self.fault_policy is None:
-                computed = batch.target.compute_keys(compute)
+                computed = batch.target.compute_keys(compute).records()
             else:
                 computed = [
                     self._rescue(key, batch.stats, 1, batch.target) for key in compute
@@ -598,7 +603,7 @@ class EvaluationEngine:
             except Exception:
                 failed.append(chunk)
             else:
-                self._land(chunk, computed)
+                self._land(chunk, computed.records())
         now = time.perf_counter()
         retire = False
         for future in [
@@ -647,7 +652,7 @@ class EvaluationEngine:
                 ]
                 self._land(chunk, computed)
 
-    def _land(self, chunk: _Chunk, computed: list) -> None:
+    def _land(self, chunk: _Chunk, computed: list[Record]) -> None:
         fp = chunk.owner.fp
         self._fused_results[fp].update(zip(chunk.keys, computed))
         inflight = self._inflight[fp]
@@ -659,7 +664,7 @@ class EvaluationEngine:
 
     def _rescue(
         self, key: tuple, stats: EngineStats, first_attempt: int, target
-    ) -> tuple[Objectives, Measurement]:
+    ) -> Record:
         """Serial per-key computation with bounded retries; the last line
         of defence — raises :class:`EvaluationError` if even this fails."""
         last_error: Exception | None = None
@@ -667,7 +672,7 @@ class EvaluationEngine:
             try:
                 if self.fault_policy is not None:
                     self.fault_policy.check(key, attempt, True)
-                return target.compute_keys([key])[0]
+                return target.compute_keys([key]).records()[0]
             except Exception as exc:  # noqa: BLE001 — deliberate catch-all
                 last_error = exc
                 stats.retried += 1
@@ -682,12 +687,12 @@ class EvaluationEngine:
         """Single-writer commit of one complete batch, in batch order."""
         target, stats = batch.target, batch.stats
         results = self._fused_results[batch.fp]
-        for key in batch.order:
-            if target.commit(key, *results[key]):
-                stats.new_evaluations += 1
+        stats.new_evaluations = target.commit_many(
+            batch.order, [results[key] for key in batch.order]
+        )
         if batch.compute and target.has_disk_cache:
             target.disk_store_many([(key, *results[key]) for key in batch.compute])
-        batch.objectives = tuple(target.lookup(key) for key in batch.keys)
+        batch.objectives = tuple(target.lookup_many(batch.keys))
         stats.wall_time_s = time.perf_counter() - batch.t0
         batch.done = True
 
@@ -711,12 +716,12 @@ def _compute_chunk(
     keys: tuple[tuple, ...],
     attempt: int,
     fault_policy: FaultPolicy | None,
-) -> list[tuple[Objectives, Measurement]]:
-    """Worker body: one vectorized ``compute_keys`` call; a fault on any
-    key fails the whole chunk.  The chunk ships its own target — for the
-    process backend the pickle carries only pure measurement state, no
-    ledger."""
+) -> MeasuredKeys:
+    """Worker body: one vectorized ``compute_keys`` call, returned as
+    columns; a fault on any key fails the whole chunk.  The chunk ships its
+    own target — for the process backend the pickle carries only pure
+    measurement state, no ledger."""
     if fault_policy is not None:
         for key in keys:
             fault_policy.check(key, attempt, False)
-    return target.compute_keys(list(keys))
+    return target.compute_keys(keys)

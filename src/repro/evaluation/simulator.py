@@ -6,10 +6,13 @@ uses (§V-B1).  Noise is *hash-derived*: each (configuration, repetition)
 pair maps through a keyed blake2b hash to a uniform variate, which the
 inverse normal CDF turns into a lognormal factor.  This makes measurements
 fully deterministic and independent of evaluation order and of how a batch
-is chunked.  :meth:`SimulatedTarget.compute_keys` is the only code that
-produces a measurement: it takes times (and energies) from one vectorized
-cost-model evaluation per chunk, and single-configuration
-:meth:`SimulatedTarget.evaluate` is a one-key chunk.
+is chunked.  Configurations travel as one canonical int64 **key matrix**
+(:meth:`SimulatedTarget.config_keys`, row ``tiles in band order + threads``).
+:meth:`SimulatedTarget.compute_keys` is the only code that produces a
+measurement: it takes times (and energies) from one vectorized cost-model
+evaluation per chunk and returns them as :class:`MeasuredKeys` columns,
+and single-configuration :meth:`SimulatedTarget.evaluate` is a one-key
+chunk.
 
 The target also keeps the evaluation ledger: ``evaluations`` is the metric
 ``E`` of the paper's Table VI ("the number of points evaluated for obtaining
@@ -19,7 +22,8 @@ its history.
 
 The ledger is **thread-safe**: measurement itself is pure (see
 :meth:`SimulatedTarget.compute_keys`) and all ledger mutation goes through
-the locked :meth:`SimulatedTarget.commit`, so concurrent evaluators —
+the locked :meth:`SimulatedTarget.commit_many` (one lock per batch), so
+concurrent evaluators —
 external callers as well as the
 :class:`~repro.evaluation.parallel_eval.EvaluationEngine` worker pool —
 can never lose ``E`` increments or double-count a configuration.
@@ -37,22 +41,56 @@ parameters), never the ledger, lock, or cache handle.
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 import time as _time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import Measurement, MeasurementProtocol
 from repro.evaluation.objectives import Objectives
-from repro.util.rng import seed_hasher, spawn_seed_from
+from repro.util.rng import seed_hasher
 from repro.util.stats import ndtri
 
-__all__ = ["SimulatedTarget"]
+__all__ = ["SimulatedTarget", "MeasuredKeys"]
 
 _U64 = float(1 << 64)
+
+#: one ledger entry: what the target measured for a canonical key
+Record = tuple[Objectives, Measurement]
+
+
+@dataclass(frozen=True, eq=False)
+class MeasuredKeys:
+    """What :meth:`SimulatedTarget.compute_keys` measured, one row per key.
+
+    :param values: (n,) medians — the measured times.
+    :param samples: (n, repetitions) noisy samples.
+    :param energies: (n,) energies, or None when energy is not measured.
+    :param threads: (n,) thread counts (the keys' last column).
+    """
+
+    values: np.ndarray
+    samples: np.ndarray
+    energies: np.ndarray | None
+    threads: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def records(self) -> list[Record]:
+        """The per-key ``(Objectives, Measurement)`` ledger entries."""
+        values = self.values.tolist()
+        energies = repeat(None) if self.energies is None else self.energies.tolist()
+        return [
+            (Objectives(time=v, threads=t, energy=e), Measurement(value=v, samples=s))
+            for v, t, e, s in zip(
+                values, self.threads.tolist(), energies, map(tuple, self.samples.tolist())
+            )
+        ]
 
 
 class SimulatedTarget:
@@ -86,6 +124,8 @@ class SimulatedTarget:
         self.collapsed = collapsed
         self.measure_energy = bool(measure_energy)
         self.disk_cache = disk_cache
+        #: per band loop, its extent: the upper clip of a tile column
+        self._extents = np.array([model.extent[v] for v in model.band], dtype=np.int64)
         self.evaluations = 0
         self._cache: dict[tuple, Objectives] = {}
         self._measurements: dict[tuple, Measurement] = {}
@@ -120,13 +160,29 @@ class SimulatedTarget:
     def band(self) -> tuple[str, ...]:
         return self.model.band
 
+    def config_keys(self, tiles: np.ndarray, threads: np.ndarray) -> np.ndarray:
+        """Canonical (B, len(band) + 1) int64 key matrix: each row holds the
+        tile sizes of ``tiles`` (B, len(band)), band order, clipped into
+        [1, extent], then the thread count.  The one canonicalization every
+        evaluation path shares."""
+        keys = np.empty((len(threads), len(self._extents) + 1), dtype=np.int64)
+        np.clip(tiles, 1, self._extents, out=keys[:, :-1])
+        keys[:, -1] = threads
+        return keys
+
+    def pair_keys(self, configs: Sequence[tuple[dict[str, int], int]]) -> np.ndarray:
+        """:meth:`config_keys` of ``(tile_sizes, threads)`` pairs; a band loop
+        missing from ``tile_sizes`` runs untiled (tile = extent)."""
+        extent = self.model.extent
+        tiles = np.array(
+            [[t.get(v, extent[v]) for v in self.band] for t, _ in configs], dtype=np.int64
+        ).reshape(len(configs), len(self.band))
+        threads = np.array([thr for _, thr in configs], dtype=np.int64)
+        return self.config_keys(tiles, threads)
+
     def config_key(self, tile_sizes: dict[str, int], threads: int) -> tuple:
-        """Canonical key: tile sizes clipped into [1, extent], band order."""
-        tiles = tuple(
-            int(min(max(1, tile_sizes.get(v, self.model.extent[v])), self.model.extent[v]))
-            for v in self.band
-        )
-        return tiles + (int(threads),)
+        """One configuration's canonical key, as the ledger's tuple."""
+        return tuple(self.pair_keys([(tile_sizes, threads)])[0].tolist())
 
     def fingerprint(self) -> str:
         """Content hash of everything that determines a measurement: the
@@ -156,11 +212,22 @@ class SimulatedTarget:
     def has_disk_cache(self) -> bool:
         return self.disk_cache is not None
 
-    def disk_fetch(self, key: tuple):
-        """(Objectives, Measurement) from the persistent cache, or None."""
+    def disk_fetch(self, key: tuple) -> Record | None:
+        """(Objectives, Measurement) from the persistent cache, or None —
+        also for a record this target cannot have written (another sample
+        count, or energy where none is measured or none where it is), which
+        is then measured afresh."""
         if self.disk_cache is None:
             return None
-        return self.disk_cache.fetch(self.fingerprint(), key)
+        hit = self.disk_cache.fetch(self.fingerprint(), key)
+        if hit is None:
+            return None
+        obj, measurement = hit
+        if len(measurement.samples) != self.protocol.repetitions or (
+            (obj.energy is not None) != self.measure_energy
+        ):
+            return None
+        return hit
 
     def disk_store_many(
         self, items: list[tuple[tuple, Objectives, Measurement]]
@@ -172,78 +239,70 @@ class SimulatedTarget:
 
     # -- noise ----------------------------------------------------------
 
-    def _noise_factor_matrix(self, keys: Sequence[tuple], reps: int) -> np.ndarray:
+    def _noise_factor_matrix(self, keys: Iterable[Sequence[int]], reps: int) -> np.ndarray:
         """(len(keys), reps) lognormal factors in one batch.
 
         Entry ``(i, rep)`` is ``exp(noise * ndtri(u))`` with ``u`` derived
-        from ``spawn_seed(seed, keys[i], rep)``: the seed prefix is hashed
-        once and forked per (key, repetition) suffix — the same byte stream
-        blake2b sees in :func:`~repro.util.rng.spawn_seed` — and the
-        inverse-CDF / exp transform runs elementwise over the whole matrix.
+        from ``spawn_seed(seed, tuple(keys[i]), rep)``: blake2b sees the
+        same byte stream as in :func:`~repro.util.rng.spawn_seed`, but the
+        seed and each key prefix are hashed once and forked per
+        precomputed repetition suffix; the digests are decoded in one
+        buffer, and the inverse-CDF / exp transform runs elementwise over
+        the whole matrix.
         """
         prefix = seed_hasher(self.seed)
-        u = np.empty((len(keys), reps), dtype=float)
-        for i, key in enumerate(keys):
+        suffixes = [b"\x00" + repr(rep).encode() for rep in range(reps)]
+        digests = []
+        for key in keys:
             key_prefix = prefix.copy()
-            key_prefix.update(b"\x00")
-            key_prefix.update(repr(key).encode())
-            row = u[i]
-            for rep in range(reps):
-                row[rep] = (spawn_seed_from(key_prefix, rep) + 0.5) / _U64
-        return np.exp(self.noise * ndtri(u))
+            key_prefix.update(b"\x00" + repr(tuple(key)).encode())
+            for suffix in suffixes:
+                h = key_prefix.copy()
+                h.update(suffix)
+                digests.append(h.digest())
+        seeds = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, reps)
+        return np.exp(self.noise * ndtri((seeds + 0.5) / _U64))
 
     # -- pure computation (no ledger mutation) ----------------------------
 
-    def compute_keys(
-        self, keys: Sequence[tuple]
-    ) -> list[tuple[Objectives, Measurement]]:
+    def compute_keys(self, keys: np.ndarray | Sequence[tuple]) -> MeasuredKeys:
         """Measure canonical keys **purely** — the ledger is not touched.
 
-        This is the worker half of the engine's dedup → dispatch → commit
-        pipeline: because the noise is hash-derived per (key, repetition),
-        the result of a key is independent of evaluation order and of how a
-        batch is partitioned across workers, so any chunking of *keys* is
-        bit-identical to one bulk call (``time_batch`` is row-elementwise).
-        Callers are responsible for recording results via :meth:`commit`.
+        *keys* is a (n, len(band) + 1) key matrix (or a sequence of key
+        tuples).  This is the worker half of the engine's dedup → dispatch
+        → commit pipeline: because the noise is hash-derived per (key,
+        repetition), the result of a key is independent of evaluation
+        order and of how a batch is partitioned across workers, so any
+        chunking of *keys* is bit-identical to one bulk call
+        (``time_batch`` is row-elementwise).  The result is columns, not
+        per-key objects; callers record it via :meth:`commit_many`.
         """
+        keys = np.asarray(keys, dtype=np.int64).reshape(len(keys), len(self._extents) + 1)
+        tiles, threads = keys[:, :-1], keys[:, -1]
+        reps = self.protocol.repetitions
         if not len(keys):
-            return []
-        tiles = np.array([k[:-1] for k in keys], dtype=np.int64)
-        threads = np.array([k[-1] for k in keys], dtype=np.int64)
+            energies = np.empty(0) if self.measure_energy else None
+            return MeasuredKeys(np.empty(0), np.empty((0, reps)), energies, threads)
         if self.measure_energy:
             true_times, true_energies = self.model.energy_batch(
                 tiles, threads, collapsed=self.collapsed
             )
         else:
             true_times = self.model.time_batch(tiles, threads, collapsed=self.collapsed)
-        reps = self.protocol.repetitions
         overhead = self.protocol.overhead_s
         if overhead > 0:
             # the simulated pipeline latency is per configuration no matter
             # how the batch is chunked
             _time.sleep(overhead * len(keys))
-        # one hash-derived factor matrix + one median sweep for the whole
-        # chunk: the per-key loop below only assembles result objects
-        factors = self._noise_factor_matrix(keys, reps)
-        samples = true_times[:, None] * factors
-        medians = np.median(samples, axis=1)
-        out = []
-        for b, key in enumerate(keys):
-            measurement = Measurement(
-                value=float(medians[b]), samples=tuple(samples[b])
-            )
-            energy = None
-            if self.measure_energy:
-                # energy measurements share the run's jitter: scale the
-                # model energy by the same median noise factor as the time
-                energy = float(
-                    true_energies[b] * (measurement.value / true_times[b])
-                )
-            obj = Objectives(
-                time=measurement.value, threads=int(key[-1]), energy=energy
-            )
-            out.append((obj, measurement))
-        return out
+        # one hash-derived factor matrix + one median sweep for the chunk
+        samples = true_times[:, None] * self._noise_factor_matrix(keys.tolist(), reps)
+        values = np.median(samples, axis=1)
+        energies = None
+        if self.measure_energy:
+            # energy measurements share the run's jitter: scale the model
+            # energy by the same median noise factor as the time
+            energies = true_energies * (values / true_times)
+        return MeasuredKeys(values, samples, energies, threads)
 
     # -- the single-writer ledger ------------------------------------------
 
@@ -252,25 +311,52 @@ class SimulatedTarget:
         with self._lock:
             return self._cache.get(key)
 
-    def commit(self, key: tuple, obj: Objectives, measurement: Measurement) -> bool:
-        """Record a computed measurement in the ledger; returns whether the
-        key was new (and therefore counted towards ``E``).  Atomic: a key
-        can never be counted twice, and no increment is ever lost.
+    def lookup_many(self, keys: Iterable[tuple]) -> list[Objectives]:
+        """The recorded objectives of known keys, in order — one lock."""
+        with self._lock:
+            cache = self._cache
+            return [cache[key] for key in keys]
+
+    def missing(self, keys: Iterable[tuple]) -> list[tuple]:
+        """The keys the ledger has not recorded, in order — one lock."""
+        with self._lock:
+            cache = self._cache
+            return [key for key in keys if key not in cache]
+
+    def commit_many(self, keys: Sequence[tuple], records: Sequence[Record]) -> int:
+        """Record computed measurements in the ledger under one lock;
+        returns how many keys were new (and therefore counted towards
+        ``E``).  Atomic per key: a key can never be counted twice, and no
+        increment is ever lost.
 
         :raises ValueError: if an objective is NaN or infinite — the model
-            of a degenerate problem, which no optimizer can rank.
+            of a degenerate problem, which no optimizer can rank.  Nothing
+            of the batch is recorded then.
         """
-        if not math.isfinite(obj.time) or (
-            obj.energy is not None and not math.isfinite(obj.energy)
-        ):
-            raise ValueError(f"non-finite objectives for configuration {key}: {obj}")
+        objectives = np.array(
+            [(o.time, 0.0 if o.energy is None else o.energy) for o, _ in records],
+            dtype=float,
+        ).reshape(len(records), 2)
+        bad = ~np.isfinite(objectives).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"non-finite objectives for configuration {keys[i]}: {records[i][0]}"
+            )
         with self._lock:
-            if key in self._cache:
-                return False
-            self.evaluations += 1
-            self._cache[key] = obj
-            self._measurements[key] = measurement
-            return True
+            cache, measurements = self._cache, self._measurements
+            before = len(cache)
+            for key, (obj, measurement) in zip(keys, records):
+                if key not in cache:
+                    cache[key] = obj
+                    measurements[key] = measurement
+            new = len(cache) - before
+            self.evaluations += new
+        return new
+
+    def commit(self, key: tuple, obj: Objectives, measurement: Measurement) -> bool:
+        """:meth:`commit_many` of one key; returns whether it was new."""
+        return self.commit_many([key], [(obj, measurement)]) == 1
 
     # -- single-configuration path ---------------------------------------
 
@@ -280,7 +366,7 @@ class SimulatedTarget:
         A one-key :meth:`compute_keys` chunk.  Safe to call from multiple
         threads: computation happens outside the lock (it is pure and
         deterministic, so a racing double-compute yields the same value)
-        and :meth:`commit` arbitrates the ledger.
+        and :meth:`commit_many` arbitrates the ledger.
         """
         key = self.config_key(tile_sizes, threads)
         hit = self.lookup(key)
@@ -290,9 +376,9 @@ class SimulatedTarget:
         if disk is not None:
             self.commit(key, *disk)
             return self.lookup(key)
-        [(obj, measurement)] = self.compute_keys([key])
-        self.commit(key, obj, measurement)
-        self.disk_store_many([(key, obj, measurement)])
+        [record] = self.compute_keys([key]).records()
+        self.commit(key, *record)
+        self.disk_store_many([(key, *record)])
         return self.lookup(key)
 
     # -- introspection ----------------------------------------------------

@@ -15,6 +15,7 @@ instead of a stack trace.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.obs.tracer import TraceError
@@ -23,17 +24,68 @@ from repro.util.tables import Table
 __all__ = ["load_trace", "summarize_trace", "trace_summary_for_path"]
 
 
+def _is_number(value) -> bool:
+    """Whether a decoded JSON value is a number within the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+#: field → (check, expectation) of span and event records; a field may be
+#: absent, but when present it must pass (``name`` is required)
+_FIELDS = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "id": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "parent": (lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)),
+               "an integer or null"),
+    "span": (lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)),
+             "an integer or null"),
+    "start": (_is_number, "a number"),
+    "end": (_is_number, "a number"),
+    "duration": (_is_number, "a number"),
+    "t": (_is_number, "a number"),
+    "attrs": (lambda v: isinstance(v, dict), "an object"),
+}
+_REQUIRED = {"span": ("name", "id"), "event": ("name",)}
+
+
+def _record_problem(record) -> str | None:
+    """Why a decoded line is not a trace record, or None if it is one."""
+    if not isinstance(record, dict) or "type" not in record:
+        return "is not a trace record (expected a JSON object with a 'type' field)"
+    kind = record["type"]
+    if not isinstance(kind, str) or kind not in _REQUIRED:
+        return None
+    for name in _REQUIRED[kind]:
+        if name not in record:
+            return f"is a {kind} record without '{name}'"
+    for name, (check, expected) in _FIELDS.items():
+        if name in record and not check(record[name]):
+            return f"has a {kind} '{name}' that is not {expected}"
+    return None
+
+
 def load_trace(path: str | Path) -> list[dict]:
     """Parse a JSONL trace file into its records.
 
-    :raises TraceError: if the file is missing, unreadable, empty, or any
-        line is not a JSON object with a ``type`` field.
+    :raises TraceError: if the file is missing, unreadable, not UTF-8
+        text, empty, or any line is not a JSON object with a ``type``
+        field, or a span or event record whose fields have the wrong
+        types.
     """
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_bytes().decode("utf-8")
     except OSError as exc:
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceError(
+            f"corrupt trace file {path}: not UTF-8 text (byte {exc.start})"
+        ) from None
 
     records: list[dict] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -46,11 +98,13 @@ def load_trace(path: str | Path) -> list[dict]:
                 f"corrupt trace file {path}: line {lineno} is not valid JSON "
                 f"({exc.msg})"
             ) from exc
-        if not isinstance(record, dict) or "type" not in record:
+        except RecursionError:
             raise TraceError(
-                f"corrupt trace file {path}: line {lineno} is not a trace "
-                "record (expected a JSON object with a 'type' field)"
-            )
+                f"corrupt trace file {path}: line {lineno} is nested too deeply"
+            ) from None
+        problem = _record_problem(record)
+        if problem is not None:
+            raise TraceError(f"corrupt trace file {path}: line {lineno} {problem}")
         records.append(record)
     if not records:
         raise TraceError(f"trace file {path} is empty")
@@ -58,6 +112,14 @@ def load_trace(path: str | Path) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
+
+
+def _count(attrs: dict, key: str) -> int:
+    """A count attribute (absent: 0) of a span or event."""
+    value = attrs.get(key, 0)
+    if not (_is_number(value) and math.isfinite(value)):
+        raise TraceError(f"corrupt trace: attribute '{key}' is not a count: {value!r}")
+    return int(value)
 
 
 def _spans(records: list[dict], name: str | None = None) -> list[dict]:
@@ -138,7 +200,7 @@ def _engine_table(records: list[dict]) -> str | None:
     for s in batches:
         a = s.get("attrs", {})
         for k in keys:
-            totals[k] += int(a.get(k, 0))
+            totals[k] += _count(a, k)
         wall += s.get("duration", 0.0)
     t = Table(
         ["batches", *keys, "wall [s]"],
@@ -163,7 +225,7 @@ def _scheduler_table(records: list[dict]) -> str | None:
         )
         row["batches"] += 1
         for k in keys:
-            row[k] += int(a.get(k, 0))
+            row[k] += _count(a, k)
     t = Table(
         ["region", "batches", *keys],
         title="Cross-region scheduler",
@@ -184,7 +246,7 @@ def _selection_table(records: list[dict]) -> str | None:
     )
     by_policy: dict[str, list[dict]] = {}
     for e in events:
-        by_policy.setdefault(e.get("attrs", {}).get("policy", "?"), []).append(e)
+        by_policy.setdefault(str(e.get("attrs", {}).get("policy", "?")), []).append(e)
     for policy in sorted(by_policy):
         attrs = [e.get("attrs", {}) for e in by_policy[policy]]
         versions = sorted({str(a.get("version", "?")) for a in attrs})

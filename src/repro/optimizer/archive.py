@@ -35,6 +35,9 @@ from repro.optimizer.pareto import non_dominated_mask, reject_nan
 
 __all__ = ["ParetoArchive"]
 
+#: rows per broadcast dominance test of the m != 2 fallback insert
+_FALLBACK_BLOCK = 256
+
 
 class ParetoArchive:
     """Insert-only archive of objective vectors (minimization).
@@ -96,6 +99,8 @@ class ParetoArchive:
         """
         p = np.asarray(point, dtype=float).reshape(1, -1)
         self._check(p)
+        if not self._fast:
+            return self._add_fallback(p, [payload]) == 1
         return self._insert(tuple(p[0].tolist()), payload)
 
     def add_many(self, points, payloads=None) -> int:
@@ -111,6 +116,8 @@ class ParetoArchive:
         self._check(pts)
         if payloads is None:
             payloads = [None] * pts.shape[0]
+        if not self._fast:
+            return self._add_fallback(pts, list(payloads))
         return sum(
             self._insert(tuple(row), payload)
             for row, payload in zip(pts.tolist(), payloads)
@@ -126,8 +133,6 @@ class ParetoArchive:
         reject_nan(pts)
 
     def _insert(self, p: tuple[float, ...], payload) -> bool:
-        if not self._fast:
-            return self._add_fallback(p, payload)
         entered = self._front_insert(p[0], p[1], payload)
         if entered:
             self._hv_insert(p[0], p[1])
@@ -249,18 +254,29 @@ class ParetoArchive:
 
     # -- m != 2 fallback -------------------------------------------------
 
-    def _add_fallback(self, p: tuple[float, ...], payload) -> bool:
-        arr = np.array(p, dtype=float)
-        dominated = any(
-            all(q[i] <= arr[i] for i in range(self.m))
-            and any(q[i] < arr[i] for i in range(self.m))
-            for q in self._points
-        )
-        self._points.append(p)
-        self._payloads.append(payload)
+    def _add_fallback(self, pts: np.ndarray, payloads: list) -> int:
+        """Store a validated batch; returns how many rows were not
+        dominated by an archived point or an earlier row of the batch —
+        one broadcast dominance test per block of rows (blocks bound the
+        comparison matrix to archive size × block)."""
+        entered = 0
+        for lo in range(0, len(pts), _FALLBACK_BLOCK):
+            block = pts[lo : lo + _FALLBACK_BLOCK]
+            n_old = len(self._points)
+            cand = np.concatenate(
+                [np.array(self._points, dtype=float).reshape(n_old, self.m), block]
+            )
+            # dom[j, i]: candidate j dominates block row i
+            dom = (cand[:, None, :] <= block[None, :, :]).all(axis=2) & (
+                cand[:, None, :] < block[None, :, :]
+            ).any(axis=2)
+            earlier = np.arange(len(cand))[:, None] < n_old + np.arange(len(block))[None, :]
+            entered += int((~(dom & earlier).any(axis=0)).sum())
+            self._points.extend(map(tuple, block.tolist()))
+        self._payloads.extend(payloads)
         self._dirty = True
         self._front_cache = None
-        return not dominated
+        return entered
 
     def _fallback_front(self) -> list[int]:
         if self._front_cache is None:

@@ -14,7 +14,6 @@ import itertools
 import numpy as np
 
 from repro.obs import DISABLED, ConvergenceRecord, emit_generation
-from repro.optimizer.config import Configuration
 from repro.optimizer.pareto import non_dominated_mask
 from repro.optimizer.problem import TuningProblem
 from repro.optimizer.rsgde3 import OptimizerResult, _dedupe
@@ -112,10 +111,10 @@ def brute_force_search(
     with obs.tracer.span(
         "optimizer.run", algorithm="brute-force", grid_points=len(vectors)
     ) as span:
-        configs = problem.evaluate_batch(vectors)
-        objs = np.array([c.objectives for c in configs])
+        values = problem.decode(vectors)
+        objs = problem.measure(values)
         mask = non_dominated_mask(objs)
-        front = _dedupe([c for c, keep in zip(configs, mask) if keep])
+        front = _dedupe(problem.configurations(values[mask], objs[mask]))
         span.set(
             evaluations=problem.evaluations - evals_before, front_size=len(front)
         )
@@ -139,9 +138,12 @@ def brute_force_search(
     )
     data = None
     if keep_data:
-        times = objs[:, 0]
-        threads_arr = np.array([c.value("threads") if "threads" in names else 1 for c in configs])
+        threads = (
+            values[:, names.index("threads")]
+            if "threads" in names
+            else np.ones(len(values), dtype=np.int64)
+        )
         data = BruteForceData(
-            names=names, vectors=vectors.astype(int), times=times, threads=threads_arr
+            names=names, vectors=vectors.astype(int), times=objs[:, 0], threads=threads
         )
     return result, data

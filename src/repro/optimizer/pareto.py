@@ -64,28 +64,23 @@ def pairwise_dominance(
 def _non_dominated_mask_2d(objs: np.ndarray) -> np.ndarray:
     """O(N log N) sweep for the bi-objective case: sort by the first
     objective, keep points strictly improving the running second-objective
-    minimum (exact duplicates are all retained)."""
-    n = objs.shape[0]
-    mask = np.zeros(n, dtype=bool)
+    minimum (exact duplicates are all retained).
+
+    Vectorized over groups of equal first objective: a group survives when
+    its minimum beats every earlier group's (the first group always
+    does, even at an infinite minimum), and within a surviving group the
+    rows at that minimum are kept.  Output-identical to the per-group loop
+    (``non_dominated_mask_2d_scalar`` in ``tests/oracles.py``)."""
     order = np.lexsort((objs[:, 1], objs[:, 0]))
-    best1 = np.inf
-    i = 0
-    while i < n:
-        # group of equal first objective
-        j = i
-        v0 = objs[order[i], 0]
-        group_min = np.inf
-        while j < n and objs[order[j], 0] == v0:
-            group_min = min(group_min, objs[order[j], 1])
-            j += 1
-        # the first group is never dominated, even at an infinite minimum
-        if i == 0 or group_min < best1:
-            for k in range(i, j):
-                idx = order[k]
-                if objs[idx, 1] == group_min:
-                    mask[idx] = True
-            best1 = group_min
-        i = j
+    x, y = objs[order, 0], objs[order, 1]
+    starts = np.concatenate(([True], x[1:] != x[:-1]))
+    group = np.cumsum(starts) - 1
+    group_min = y[starts]  # rows sort by the second objective within a group
+    best_before = np.concatenate(([np.inf], np.minimum.accumulate(group_min)[:-1]))
+    survives = group_min < best_before
+    survives[0] = True
+    mask = np.empty(len(order), dtype=bool)
+    mask[order] = survives[group] & (y == group_min[group])
     return mask
 
 

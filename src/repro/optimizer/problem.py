@@ -13,6 +13,7 @@ evaluation ledger of the target provides the ``E`` metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,7 +24,35 @@ from repro.optimizer.config import Configuration
 from repro.optimizer.space import ParameterSpace
 from repro.transform.skeleton import TransformationSkeleton
 
-__all__ = ["TuningProblem"]
+__all__ = ["TuningProblem", "decode_vectors", "pair_configurations"]
+
+
+def decode_vectors(vectors: np.ndarray, dim: int) -> np.ndarray:
+    """(B, dim) parameter vectors → (B, dim) int64 value rows, rounded
+    half to even like :meth:`ParameterSpace.to_dict`."""
+    vectors = np.asarray(vectors, dtype=float).reshape(-1, dim)
+    if not np.isfinite(vectors).all():
+        raise ValueError("parameter vectors must be finite")
+    return np.rint(vectors).astype(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _sorted_names(names: tuple[str, ...]) -> tuple[tuple[str, ...], list[int]]:
+    perm = sorted(range(len(names)), key=names.__getitem__)
+    return tuple(names[j] for j in perm), perm
+
+
+def pair_configurations(
+    names: tuple[str, ...], values: np.ndarray, objectives: np.ndarray
+) -> list[Configuration]:
+    """Pair (B, dim) value rows, columns in *names* order, with (B, m)
+    objective rows — the sorted-name permutation is computed once per
+    parameter-name tuple, not sorted per row."""
+    sorted_names, perm = _sorted_names(names)
+    return [
+        Configuration(values=tuple(zip(sorted_names, row)), objectives=tuple(obj))
+        for row, obj in zip(values[:, perm].tolist(), objectives.tolist())
+    ]
 
 
 @dataclass
@@ -119,34 +148,60 @@ class TuningProblem:
     def evaluate_vector(self, vec: np.ndarray) -> Configuration:
         return self.evaluate(self.space.to_dict(vec))
 
-    def batch_configs(
-        self, vectors: np.ndarray
-    ) -> tuple[list[dict[str, int]], list[tuple[dict[str, int], int]]]:
-        """Decode (B, dim) parameter vectors into the per-row value dicts
-        and the ``(tile_sizes, threads)`` pairs an evaluation engine
-        consumes — the front half of :meth:`evaluate_batch`, exposed so a
-        cross-region scheduler can route the engine call itself."""
-        vectors = np.asarray(vectors)
-        values_list = [self.space.to_dict(row) for row in vectors]
-        configs = [self.split_values(values) for values in values_list]
-        return values_list, configs
+    @cached_property
+    def _key_columns(self) -> tuple[list[int | None], int | None]:
+        """Where the target's key columns sit in a value row, computed once
+        per space: each band loop's tile column (None: untiled) and the
+        threads column (None: one thread)."""
+        names = self.space.names
+        tiles = [
+            names.index(f"tile_{v}") if f"tile_{v}" in names else None
+            for v in self.target.band
+        ]
+        threads = names.index("threads") if "threads" in names else None
+        return tiles, threads
 
-    def make_configurations(
-        self, values_list: list[dict[str, int]], objectives
-    ) -> list[Configuration]:
-        """Pair decoded value dicts with their measured objectives — the
-        back half of :meth:`evaluate_batch`."""
-        out = []
-        for values, obj in zip(values_list, objectives):
-            vec = obj.vector3() if self.tri_objective else obj.vector()
-            out.append(Configuration.make(values, vec))
-        return out
+    def decode(self, vectors: np.ndarray) -> np.ndarray:
+        """:func:`decode_vectors` over this problem's space."""
+        return decode_vectors(vectors, self.space.dim)
+
+    def config_keys(self, values: np.ndarray) -> np.ndarray:
+        """The target's canonical key matrix of decoded value rows: tile
+        columns in band order (a loop without a tile parameter runs
+        untiled), then the threads column (one thread without one)."""
+        tile_cols, thread_col = self._key_columns
+        extent = self.target.model.extent
+        tiles = np.empty((len(values), len(tile_cols)), dtype=np.int64)
+        for j, (col, v) in enumerate(zip(tile_cols, self.target.band)):
+            tiles[:, j] = extent[v] if col is None else values[:, col]
+        threads = 1 if thread_col is None else values[:, thread_col]
+        return self.target.config_keys(tiles, np.broadcast_to(threads, len(values)))
+
+    def objective_matrix(self, batch) -> np.ndarray:
+        """(B, m) minimization objectives of a committed engine batch, rows
+        in input order: time, resources (threads × time) [, energy]."""
+        objectives = batch.objectives
+        n = len(objectives)
+        time = np.fromiter((o.time for o in objectives), dtype=float, count=n)
+        columns = [time, batch.matrix[:, -1] * time]
+        if self.tri_objective:
+            columns.append(np.fromiter((o.energy for o in objectives), dtype=float, count=n))
+        return np.stack(columns, axis=1)
+
+    def configurations(self, values: np.ndarray, objectives: np.ndarray) -> list[Configuration]:
+        """:func:`pair_configurations` over this problem's space."""
+        return pair_configurations(self.space.names, values, objectives)
+
+    def measure(self, values: np.ndarray) -> np.ndarray:
+        """The (B, m) objective matrix of decoded value rows, measured
+        through the evaluation engine as one key matrix."""
+        batch = self.evaluation_engine.evaluate_batch(self.config_keys(values))
+        return self.objective_matrix(batch)
 
     def evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
         """Evaluate (B, dim) parameter vectors through the evaluation
         engine — the paper's parallel evaluation of each generation's
         configurations (dedup → dispatch to workers → serial commit).
         """
-        values_list, configs = self.batch_configs(vectors)
-        result = self.evaluation_engine.evaluate_batch(configs)
-        return self.make_configurations(values_list, result.objectives)
+        values = self.decode(vectors)
+        return self.configurations(values, self.measure(values))

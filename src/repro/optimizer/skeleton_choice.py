@@ -32,7 +32,7 @@ from repro.evaluation.simulator import SimulatedTarget
 from repro.ir.nodes import Function
 from repro.machine.model import MachineModel
 from repro.optimizer.config import Configuration
-from repro.optimizer.problem import TuningProblem
+from repro.optimizer.problem import TuningProblem, decode_vectors, pair_configurations
 from repro.optimizer.space import ParameterSpace
 from repro.transform.interchange import permute
 from repro.transform.skeleton import Parameter, default_skeleton
@@ -99,24 +99,20 @@ class SkeletonChoiceProblem:
         return self.evaluate(self.space.to_dict(vec))
 
     def evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
-        vectors = np.asarray(vectors)
+        """Measure each row through the sub-problem its ``skeleton`` value
+        selects, one key matrix per sub-problem."""
         names = self.space.names
-        sk_col = names.index("skeleton")
-        out: list[Configuration | None] = [None] * len(vectors)
+        values = decode_vectors(vectors, self.space.dim)
+        skeleton = values[:, names.index("skeleton")]
+        objectives = np.full((len(values), self.num_objectives), np.nan)
         for idx, sub in enumerate(self.sub_problems):
-            rows = np.flatnonzero(np.round(vectors[:, sk_col]).astype(int) == idx)
-            if rows.size == 0:
-                continue
-            sub_names = sub.space.names
-            sub_vecs = np.stack(
-                [vectors[rows][:, names.index(n)] for n in sub_names], axis=1
-            )
-            configs = sub.evaluate_batch(sub_vecs)
-            for row, cfg in zip(rows, configs):
-                values = self.space.to_dict(vectors[row])
-                out[row] = Configuration.make(values, cfg.objectives)
-        assert all(c is not None for c in out)
-        return out  # type: ignore[return-value]
+            rows = np.flatnonzero(skeleton == idx)
+            if rows.size:
+                cols = [names.index(n) for n in sub.space.names]
+                objectives[rows] = sub.measure(values[np.ix_(rows, cols)])
+        if np.isnan(objectives).any():
+            raise ValueError("skeleton index outside the composed skeletons")
+        return pair_configurations(names, values, objectives)
 
 
 def build_skeleton_choice(

@@ -9,11 +9,16 @@ that the production paths compute the same numbers bit for bit:
   traffic).
 - :func:`noise_factors` — the per-key lognormal factors that
   ``SimulatedTarget._noise_factor_matrix`` computes for a whole chunk.
+- :func:`hv3d_slabs` — the 3-D hypervolume that recomputed a 2-D
+  hypervolume per z-slab, which ``repro.optimizer.hypervolume._hv3d``
+  sweeps with one incrementally maintained staircase.
 - :func:`select_pairs_scalar` — the pairwise phase of ``GDE3.select``
   with two scalar ``dominates`` calls per pair, which ``select`` does in
   one broadcasted comparison.
 - :func:`non_dominated_mask_scalar` — the per-row general-m sweep that
   ``repro.optimizer.pareto`` replaced with a blocked broadcast.
+- :func:`non_dominated_mask_2d_scalar` — the per-group bi-objective sweep
+  that ``repro.optimizer.pareto`` replaced with a vectorized group scan.
 - :func:`bandit_select_scalar` — ``BanditSelector.select``'s UCB1 score,
   one arm at a time.
 - :func:`simplify` — the fixpoint simplifier over the field-inspecting,
@@ -41,6 +46,7 @@ from repro.ir.nodes import Node
 from repro.ir.simplify import _rule
 from repro.obs import DISABLED
 from repro.optimizer.config import Configuration
+from repro.optimizer.hypervolume import _hv2d
 from repro.optimizer.pareto import dominates
 from repro.machine.topology import place_threads
 from repro.util.rng import spawn_seed
@@ -49,8 +55,10 @@ from repro.util.stats import ndtri
 __all__ = [
     "ScalarCostModel",
     "noise_factors",
+    "hv3d_slabs",
     "select_pairs_scalar",
     "non_dominated_mask_scalar",
+    "non_dominated_mask_2d_scalar",
     "bandit_select_scalar",
     "node_children",
     "simplify",
@@ -328,6 +336,28 @@ def noise_factors(target, key: tuple, reps: int) -> np.ndarray:
     return np.exp(target.noise * ndtri(u))
 
 
+# -- hypervolume -----------------------------------------------------------------
+
+
+def hv3d_slabs(pts: np.ndarray, ref: np.ndarray) -> float:
+    """Exact 3-D hypervolume by sweeping z-slabs: between consecutive z
+    values the dominated volume is the 2-D hypervolume of all points with
+    smaller-or-equal z, times the slab height.  O(n^2 log n), fine for
+    front-sized sets."""
+    order = np.argsort(pts[:, 2], kind="stable")
+    total = 0.0
+    active: list[np.ndarray] = []
+    n = len(order)
+    for i, idx in enumerate(order):
+        active.append(pts[idx, :2])
+        z = pts[idx, 2]
+        z_next = pts[order[i + 1], 2] if i + 1 < n else ref[2]
+        if z_next > z:
+            area = _hv2d(np.array(active), ref[:2])
+            total += area * (z_next - z)
+    return float(total)
+
+
 # -- Pareto selection ------------------------------------------------------------
 
 
@@ -345,6 +375,34 @@ def select_pairs_scalar(
             next_pop.append(target)
             next_pop.append(trial)
     return next_pop
+
+
+def non_dominated_mask_2d_scalar(objs: np.ndarray) -> np.ndarray:
+    """The per-group bi-objective sweep: sort by the first objective, keep
+    points strictly improving the running second-objective minimum (exact
+    duplicates are all retained)."""
+    n = objs.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    order = np.lexsort((objs[:, 1], objs[:, 0]))
+    best1 = np.inf
+    i = 0
+    while i < n:
+        # group of equal first objective
+        j = i
+        v0 = objs[order[i], 0]
+        group_min = np.inf
+        while j < n and objs[order[j], 0] == v0:
+            group_min = min(group_min, objs[order[j], 1])
+            j += 1
+        # the first group is never dominated, even at an infinite minimum
+        if i == 0 or group_min < best1:
+            for k in range(i, j):
+                idx = order[k]
+                if objs[idx, 1] == group_min:
+                    mask[idx] = True
+            best1 = group_min
+        i = j
+    return mask
 
 
 def non_dominated_mask_scalar(objs: np.ndarray) -> np.ndarray:
@@ -459,8 +517,10 @@ def run_lockstep(tuner: MultiRegionTuner, seed: int = 0) -> MultiRegionResult:
 
     for st in states:
         vectors = st.full.sample(st.rng, tuner.settings.gde3.population_size)
-        st.values_list, configs = st.problem.batch_configs(vectors)
-        st.batch = st.problem.evaluation_engine.evaluate_batch(configs)
+        st.values = st.problem.decode(vectors)
+        st.batch = st.problem.evaluation_engine.evaluate_batch(
+            st.problem.config_keys(st.values)
+        )
         st.absorb(obs)
 
     while any(not st.finished for st in states):
@@ -468,8 +528,10 @@ def run_lockstep(tuner: MultiRegionTuner, seed: int = 0) -> MultiRegionResult:
             if st.finished:
                 continue
             vectors = st.optimizer.propose(st.population, st.boundary, st.rng)
-            st.values_list, configs = st.problem.batch_configs(vectors)
-            st.batch = st.problem.evaluation_engine.evaluate_batch(configs)
+            st.values = st.problem.decode(vectors)
+            st.batch = st.problem.evaluation_engine.evaluate_batch(
+                st.problem.config_keys(st.values)
+            )
             st.absorb(obs)
 
     stats = EngineStats()

@@ -201,6 +201,40 @@ class TestTriObjectiveFallback:
         assert set(archive.front()) == {"best", "edge"}
 
 
+    def test_m3_insert_counts(self):
+        """A batch insert counts the rows no archived or earlier row
+        dominates — the same count as one add() per row."""
+        from repro.optimizer.pareto import dominates
+
+        rng = np.random.default_rng(4)
+        ref = np.array([3.0, 3.0, 3.0])
+        for _ in range(30):
+            n = int(rng.integers(1, 20))
+            pts = rng.integers(0, 4, size=(n, 3)).astype(float)  # ties, duplicates
+            single = ParetoArchive(ref)
+            entered = [single.add(p) for p in pts]
+            assert entered == [
+                not any(dominates(q, p) for q in pts[:i]) for i, p in enumerate(pts)
+            ]
+            batched = ParetoArchive(ref)
+            half = n // 2
+            assert batched.add_many(pts[:half]) + batched.add_many(pts[half:]) == sum(entered)
+            assert batched.hypervolume == single.hypervolume
+
+    def test_m3_insert_counts_across_blocks(self, monkeypatch):
+        """A batch longer than one dominance block counts like one add()
+        per row."""
+        import repro.optimizer.archive as archive_module
+
+        monkeypatch.setattr(archive_module, "_FALLBACK_BLOCK", 7)
+        pts = np.random.default_rng(5).integers(0, 5, size=(40, 3)).astype(float)
+        single = ParetoArchive(np.full(3, 5.0))
+        entered = sum(single.add(p) for p in pts)
+        batched = ParetoArchive(np.full(3, 5.0))
+        assert batched.add_many(pts) == entered
+        assert batched.front_size == single.front_size
+
+
 class TestFiveKernelExactness:
     """Acceptance criterion: per-generation telemetry via ParetoArchive
     matches full recomputation exactly on all five kernels."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,123 @@ class TestRobustness:
         assert obj2 == obj1 and obj2.energy == obj1.energy
 
 
+class TestCorruptShardLines:
+    """Every kind of corrupt line is skipped on load: the configuration it
+    claims is measured afresh, bit-identically, and the good lines are
+    still served."""
+
+    GOOD = ({"i": 32, "j": 32, "k": 32}, 4)
+    BAD = ({"i": 64, "j": 64, "k": 64}, 8)
+
+    def _served(self, mm_model, tmp_path, line: bytes, **kw) -> SimulatedTarget:
+        """Fill a shard with GOOD, append *line* (formatted with BAD's key),
+        then evaluate both on a fresh target and check the outcome."""
+        filler = _target(mm_model, tmp_path, **kw)
+        filler.evaluate(*self.GOOD)
+        (shard_path,) = list(tmp_path.glob("*.jsonl"))
+        key = list(filler.config_key(*self.BAD))
+        with open(shard_path, "ab") as fh:
+            fh.write(line.replace(b"KEY", json.dumps(key).encode()) + b"\n")
+        fresh = _target(mm_model, tmp_path, **kw)
+        assert fresh.evaluate(*self.GOOD) == filler.lookup(filler.config_key(*self.GOOD))
+        assert fresh.disk_cache.hits == 1
+        expected = _target(mm_model, **kw).evaluate(*self.BAD)
+        engine = EvaluationEngine(fresh)
+        batch = engine.evaluate_batch([self.BAD])
+        assert batch.objectives == (expected,)
+        assert engine.stats.disk_hits == 0 and engine.stats.dispatched == 1
+        return fresh
+
+    @pytest.mark.parametrize("line", [b"5", b"null", b"[1, 2]", b'"text"', b"true"])
+    def test_non_object_line(self, mm_model, tmp_path, line):
+        self._served(mm_model, tmp_path, line)
+
+    def test_non_utf8_bytes(self, mm_model, tmp_path):
+        self._served(mm_model, tmp_path, b'{"k": KEY, "v": 1.0, "s": [1.0]}\xff\xfe')
+
+    @pytest.mark.parametrize("value", [b"NaN", b"Infinity", b"-Infinity", b"1" + b"0" * 400])
+    def test_non_finite_value(self, mm_model, tmp_path, value):
+        self._served(
+            mm_model, tmp_path,
+            b'{"k": KEY, "v": ' + value + b', "s": [1.0, 1.0, 1.0, 1.0, 1.0], "e": null}',
+        )
+
+    @pytest.mark.parametrize("value", [b"-1", b"0", b"-1e-3"])
+    def test_non_positive_value(self, mm_model, tmp_path, value):
+        self._served(
+            mm_model, tmp_path,
+            b'{"k": KEY, "v": ' + value + b', "s": [1.0, 1.0, 1.0, 1.0, 1.0], "e": null}',
+        )
+
+    def test_non_positive_sample_or_energy(self, mm_model, tmp_path):
+        self._served(
+            mm_model, tmp_path,
+            b'{"k": KEY, "v": 1.0, "s": [1.0, -1.0, 1.0, 1.0, 1.0], "e": null}',
+        )
+        self._served(
+            mm_model, tmp_path / "energy",
+            b'{"k": KEY, "v": 1.0, "s": [1.0, 1.0, 1.0, 1.0, 1.0], "e": NaN}',
+            measure_energy=True,
+        )
+
+    @pytest.mark.parametrize("samples", [b"[]", b"[1.0, 1.0]", b"[1.0, 1.0, 1.0, 1.0, 1.0, 1.0]"])
+    def test_samples_of_the_wrong_length(self, mm_model, tmp_path, samples):
+        self._served(
+            mm_model, tmp_path, b'{"k": KEY, "v": 1.0, "s": ' + samples + b', "e": null}'
+        )
+
+    def test_energy_presence_must_match_the_target(self, mm_model, tmp_path):
+        # an energy target never wrote a line without energy
+        self._served(
+            mm_model, tmp_path,
+            b'{"k": KEY, "v": 1.0, "s": [1.0, 1.0, 1.0, 1.0, 1.0], "e": null}',
+            measure_energy=True,
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [b'{"k": [64, 64, true, 8], "v": 1.0, "s": [1.0]}', b'{"k": [64.0, 64, 64, 8], "v": 1.0}',
+         b'{"k": [], "v": 1.0, "s": [1.0]}', b'{"k": KEY, "v": "1.0", "s": [1.0]}'],
+    )
+    def test_malformed_fields(self, mm_model, tmp_path, line):
+        self._served(mm_model, tmp_path, line)
+
+    def test_append_after_a_torn_line_starts_a_new_line(self, mm_model, tmp_path):
+        t1 = _target(mm_model, tmp_path)
+        t1.evaluate(*self.GOOD)
+        (shard_path,) = list(tmp_path.glob("*.jsonl"))
+        with open(shard_path, "a", encoding="utf-8") as fh:
+            fh.write('{"k": [1, 2')  # a writer died mid-line
+        t2 = _target(mm_model, tmp_path)
+        t2.evaluate(*self.BAD)  # loads the torn shard, then appends
+        t3 = _target(mm_model, tmp_path)
+        assert t3.evaluate(*self.BAD) == t2.lookup(t2.config_key(*self.BAD))
+        assert t3.disk_cache.hits == 1
+
+
+class TestDamagedHeader:
+    def test_shard_with_a_foreign_header_is_rewritten(self, mm_model, tmp_path):
+        """A damaged header hides the shard's records; the next store starts
+        the shard afresh, so later runs are served from disk again instead
+        of recomputing and appending unreadable lines forever."""
+        configs = _configs(_target(mm_model), n=20)
+        EvaluationEngine(_target(mm_model, tmp_path)).evaluate_batch(configs)
+        (shard_path,) = list(tmp_path.glob("*.jsonl"))
+        lines = shard_path.read_text().splitlines()
+        lines[0] = lines[0].replace('"fingerprint": "', '"fingerprint": "x')
+        shard_path.write_text("\n".join(lines) + "\n")
+
+        damaged = EvaluationEngine(_target(mm_model, tmp_path))
+        first = damaged.evaluate_batch(configs)
+        assert damaged.stats.disk_hits == 0
+        warm = EvaluationEngine(_target(mm_model, tmp_path))
+        again = warm.evaluate_batch(configs)
+        assert warm.stats.dispatched == 0
+        assert warm.stats.disk_hits == damaged.stats.dispatched
+        assert again.objectives == first.objectives
+        assert len(shard_path.read_text().splitlines()) == 1 + damaged.stats.dispatched
+
+
 class TestPickling:
     def test_target_pickles_without_ledger(self, mm_model, tmp_path):
         import pickle
@@ -193,4 +312,4 @@ class TestPickling:
         assert clone.lookup(t.config_key({"i": 32, "j": 32, "k": 32}, 4)) is None
         # the pure measurement function survives intact
         key = t.config_key({"i": 32, "j": 32, "k": 32}, 4)
-        assert clone.compute_keys([key]) == t.compute_keys([key])
+        assert clone.compute_keys([key]).records() == t.compute_keys([key]).records()

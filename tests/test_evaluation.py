@@ -389,7 +389,7 @@ class TestSimulatedTarget:
 
     def test_commit_rejects_non_finite_objectives(self, mm_target):
         key = (32, 64, 8, 10)
-        measurement = mm_target.compute_keys([key])[0][1]
+        measurement = mm_target.compute_keys([key]).records()[0][1]
         for obj in (
             Objectives(time=float("nan"), threads=10),
             Objectives(time=float("inf"), threads=10),
@@ -451,7 +451,7 @@ class TestVectorizedNoise:
             tgt_b = SimulatedTarget(mm_model, seed=13, measure_energy=energy)
             batch = tgt_a.compute_keys(keys)
             assert tgt_a.evaluations == 0
-            for key, (obj, meas) in zip(keys, batch):
+            for key, (obj, meas) in zip(keys, batch.records()):
                 tiles = dict(zip(("i", "j", "k"), key[:-1]))
                 single = tgt_b.evaluate(tiles, key[-1])
                 assert obj.time == single.time
@@ -463,4 +463,5 @@ class TestVectorizedNoise:
             assert tgt_b.evaluations == len(keys)
 
     def test_compute_keys_empty(self, mm_target):
-        assert mm_target.compute_keys([]) == []
+        assert len(mm_target.compute_keys([])) == 0
+        assert mm_target.compute_keys([]).records() == []

@@ -308,6 +308,42 @@ class TestTraceSummary:
         with pytest.raises(TraceError, match="line 1"):
             load_trace(p)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"type": "span"}', "without 'name'"),
+            ('{"type": "span", "name": "x"}', "without 'id'"),
+            ('{"type": "span", "name": "x", "id": "1"}', "'id' that is not an integer"),
+            ('{"type": "span", "name": "x", "id": 1, "parent": [2]}', "'parent'"),
+            ('{"type": "span", "name": "x", "id": 1, "duration": "1s"}', "'duration'"),
+            ('{"type": "span", "name": "x", "id": 1, "duration": 1' + "0" * 400 + "}", "'duration'"),
+            ('{"type": "span", "name": 5, "id": 1}', "'name' that is not a string"),
+            ('{"type": "event", "name": "x", "attrs": [1]}', "'attrs' that is not an object"),
+            ('{"type": "event"}', "without 'name'"),
+        ],
+    )
+    def test_malformed_span_and_event_records_rejected(self, tmp_path, line, message):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"type": "meta", "format": 1}\n' + line + "\n")
+        with pytest.raises(TraceError, match="line 2") as info:
+            load_trace(p)
+        assert message in str(info.value)
+
+    def test_non_utf8_file_raises_trace_error(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_bytes(b'{"type": "meta", "format": 1}\n\xff\xfe\n')
+        with pytest.raises(TraceError, match="not UTF-8"):
+            load_trace(p)
+
+    def test_non_count_attribute_raises_trace_error(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(
+            '{"type": "span", "name": "engine.batch", "id": 1, '
+            '"attrs": {"configs": "many"}}\n'
+        )
+        with pytest.raises(TraceError, match="'configs'"):
+            trace_summary_for_path(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("\n\n")

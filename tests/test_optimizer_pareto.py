@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.optimizer.hypervolume import hypervolume, normalized_hypervolume
+from repro.optimizer.hypervolume import _hv3d, hypervolume, normalized_hypervolume
 from repro.optimizer.pareto import (
+    _non_dominated_mask_2d,
     _non_dominated_mask_general,
     crowding_distance,
     dominates,
@@ -18,7 +19,11 @@ from repro.optimizer.pareto import (
     non_dominated_sort,
     pairwise_dominance,
 )
-from tests.oracles import non_dominated_mask_scalar
+from tests.oracles import (
+    hv3d_slabs,
+    non_dominated_mask_2d_scalar,
+    non_dominated_mask_scalar,
+)
 
 obj_vectors = st.lists(
     st.tuples(
@@ -293,6 +298,53 @@ class TestHypervolume:
         assert 0.0 <= hypervolume(objs, ref) <= 1.0 + 1e-12
 
 
+class TestIncremental3DHypervolume:
+    """The one-staircase 3-D sweep equals the retired per-slab 2-D
+    recomputation bit for bit (``==``, not approx)."""
+
+    REF = np.array([3.0, 3.0, 3.0])
+    #: coarse values: z ties, exact duplicates, points on the reference
+    #: (3.0) and beyond it (4.0) are all common
+    coarse = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    fine = st.floats(min_value=0.0, max_value=4.0)
+
+    @staticmethod
+    def _prepared(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """The clipped, in-box, non-dominated points hypervolume() hands
+        to the 3-D sweep."""
+        pts = np.minimum(pts, ref)
+        pts = pts[(pts < ref).any(axis=1)]
+        return pts[non_dominated_mask(pts)] if len(pts) else pts
+
+    def _check(self, rows) -> None:
+        pts = self._prepared(np.array(rows, dtype=float), self.REF)
+        expected = hv3d_slabs(pts, self.REF) if len(pts) else 0.0
+        if len(pts):
+            assert _hv3d(pts, self.REF) == expected
+        assert hypervolume(np.array(rows, dtype=float), self.REF) == expected
+
+    @given(st.lists(st.tuples(coarse, coarse, coarse), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_parity_with_ties(self, rows):
+        self._check(rows)
+
+    @given(st.lists(st.tuples(fine, fine, fine), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_parity(self, rows):
+        self._check(rows)
+
+    def test_duplicates_and_reference_points(self):
+        rows = [[1.0, 1.0, 1.0]] * 3 + [[3.0, 0.5, 0.5], [0.5, 3.0, 3.0], [3.0, 3.0, 3.0]]
+        self._check(rows)
+        assert hypervolume(np.array(rows), self.REF) == 8.0
+
+    def test_population_sized_front(self):
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(0.0, 3.0, size=(60, 3))
+        rows[:, 2] = 3.0 - rows[:, 0]  # a trade-off surface, mostly front
+        self._check(rows.tolist())
+
+
 class TestNormalizedHypervolume:
     def test_range(self):
         pts = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -346,6 +398,38 @@ class TestPairwiseDominance:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pairwise_dominance(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+class TestVectorized2DMask:
+    """The vectorized bi-objective sweep is output-identical to the retired
+    per-group loop, ties, duplicates and infinities included."""
+
+    #: few distinct values, so equal first objectives and exact duplicates
+    #: are common
+    coarse = st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0, np.inf, -np.inf])
+
+    @given(st.lists(st.tuples(coarse, coarse), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_parity_with_ties(self, pts):
+        objs = np.array(pts, dtype=float)
+        assert np.array_equal(
+            _non_dominated_mask_2d(objs), non_dominated_mask_2d_scalar(objs)
+        )
+
+    @given(obj_vectors)
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_parity(self, vecs):
+        objs = np.array(vecs, dtype=float)
+        assert np.array_equal(
+            _non_dominated_mask_2d(objs), non_dominated_mask_2d_scalar(objs)
+        )
+
+    def test_grid_sized_parity(self):
+        rng = np.random.default_rng(5)
+        objs = rng.integers(0, 50, size=(5000, 2)).astype(float)
+        assert np.array_equal(
+            _non_dominated_mask_2d(objs), non_dominated_mask_2d_scalar(objs)
+        )
 
 
 class TestVectorizedGeneralMask:

@@ -394,6 +394,104 @@ class TestBaselines:
         assert res.size >= 1 and res.evaluations > 0
 
 
+class TestColumnarBatchPath:
+    """The batch path decodes vectors into one key matrix and builds no
+    per-row dict: every key equals the per-configuration canonical key,
+    and a sweep builds Configurations for its front rows only."""
+
+    @pytest.fixture
+    def no_row_dicts(self, monkeypatch):
+        """Make every per-row dict form raise; ``undo()`` restores them."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-row dict on the batch path")
+
+        for owner, name in (
+            (ParameterSpace, "to_dict"),
+            (TuningProblem, "split_values"),
+            (SimulatedTarget, "config_key"),
+            (SimulatedTarget, "pair_keys"),
+            (Configuration, "make"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
+        return monkeypatch
+
+    @given(
+        st.lists(
+            st.tuples(
+                *[st.integers(-40, 1500).map(lambda v: v / 2) for _ in range(3)],
+                st.integers(1, 80).map(lambda v: v / 2),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_key_matrix_matches_config_key(self, rows):
+        """Half-way values round to even, tiles clip into [1, extent]."""
+        p = make_problem(n=700)
+        vectors = np.array(rows, dtype=float)
+        keys = p.config_keys(p.decode(vectors))
+        assert keys.dtype == np.int64
+        for row, vec in zip(keys.tolist(), vectors):
+            tiles, threads = p.split_values(p.space.to_dict(vec))
+            assert tuple(row) == p.target.config_key(tiles, threads)
+
+    def test_untiled_loop_takes_its_extent(self):
+        p = make_problem(n=300)
+        narrow = TuningProblem(
+            space=ParameterSpace(tuple(q for q in p.space.parameters if q.name != "tile_j")),
+            target=p.target,
+        )
+        keys = narrow.config_keys(narrow.decode(np.array([[8.0, 4.0, 3.0]])))
+        assert keys.tolist() == [[8, 300, 4, 3]]
+        assert tuple(keys[0].tolist()) == p.target.config_key({"i": 8, "k": 4}, 3)
+
+    def test_non_finite_vectors_rejected(self):
+        p = make_problem()
+        with pytest.raises(ValueError, match="finite"):
+            p.evaluate_batch(np.array([[8.0, np.nan, 8.0, 2.0]]))
+
+    def test_evaluate_batch_matches_single_evaluations(self, no_row_dicts):
+        pa, pb = make_problem(seed=21), make_problem(seed=21)
+        vectors = pa.space.full_boundary().sample(np.random.default_rng(3), 40)
+        vectors[:5] = vectors[5:10]  # duplicates within the batch
+        batch = pa.evaluate_batch(vectors)
+        pa.evaluate_batch(vectors[:7])  # ledger hits
+        no_row_dicts.undo()  # the reference below is the per-row path
+        assert pa.evaluations == len({c.values for c in batch})
+        for cfg, vec in zip(batch, vectors):
+            values = {n: int(round(x)) for n, x in zip(pb.space.names, vec)}
+            ref = pb.target.evaluate(
+                {n[len("tile_"):]: v for n, v in values.items() if n.startswith("tile_")},
+                values["threads"],
+            )
+            assert cfg.values == tuple(sorted(values.items()))
+            assert cfg.objectives == ref.vector()
+
+    def test_brute_force_builds_configurations_for_front_rows_only(self, no_row_dicts):
+        built = []
+        init = Configuration.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        p = make_problem(seed=22)
+        grid = {v: [1, 8, 64, 256, 512] for v in "ijk"}
+        no_row_dicts.setattr(Configuration, "__init__", counting)
+        res, data = brute_force_search(p, grid, [1, 4, 12], keep_data=True)
+        no_row_dicts.undo()
+        objs = np.stack([data.times, data.times * data.threads], axis=1)
+        from repro.optimizer.pareto import non_dominated_mask
+
+        front_rows = int(non_dominated_mask(objs).sum())
+        assert len(built) == front_rows < len(data) == 125 * 3
+        assert res.size <= front_rows
+        assert data.threads.tolist() == data.vectors[:, p.space.names.index("threads")].tolist()
+        assert data.threads.dtype == np.int64
+
+
 class TestMetrics:
     def test_compare_fronts_shared_normalization(self):
         from repro.optimizer.rsgde3 import OptimizerResult
