@@ -138,7 +138,7 @@ class _RegionState:
         self.batch: BatchResult | None = None
         self.values: np.ndarray | None = None
 
-    # -- propose / absorb: the two halves of one generation ---------------
+    # -- propose / advance: the two halves of one generation ---------------
 
     def propose(self, engine: EvaluationEngine) -> None:
         """Draw this region's next batch (initial sample or GDE3 trials)
@@ -158,7 +158,7 @@ class _RegionState:
             region=str(self.idx),
         )
 
-    def absorb(self, obs: Observability) -> None:
+    def advance(self, obs: Observability) -> None:
         """Fold the drained batch back into the optimizer state: select,
         rough-set update, telemetry, stall check."""
         trial_configs = self.problem.configurations(
@@ -322,7 +322,7 @@ class MultiRegionTuner:
                     st.propose(engine)
                 while any(st.batch is not None for st in states):
                     for batch in engine.fused_wait():
-                        by_region[batch.region].absorb(obs)
+                        by_region[batch.region].advance(obs)
                     running = [st for st in states if not st.finished]
                     if not running:
                         continue  # drain stragglers, nothing new to submit

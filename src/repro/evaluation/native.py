@@ -33,22 +33,16 @@ class NativeExecutor:
     :param fn: the specialized version's IR (from
         :meth:`TransformationSkeleton.instantiate` + ``apply()``).
     :param threads: worksharing width; 1 executes sequentially.  For
-        ``threads > 1`` the function must have a top-level parallel loop.
-    :param schedule: ``"static"`` (OpenMP-static-style equal chunks on a
-        thread pool) or ``"workstealing"`` (fine-grained chunks on the
-        Insieme-style work-stealing pool, one chunk per worksharing
-        iteration group).
+        ``threads > 1`` the function must have a top-level parallel loop,
+        split into OpenMP-static-style equal chunks on a thread pool.
     """
 
     fn: Function
     threads: int = 1
-    schedule: str = "static"
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.schedule not in ("static", "workstealing"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.threads == 1:
             self._body = compile_function(self.fn)
             self._bounds = None
@@ -71,35 +65,11 @@ class NativeExecutor:
             out.append((c_lo, c_hi))
         return out
 
-    def _fine_chunks(self, arrays, scalars, per_worker: int = 4) -> list[tuple[int, int]]:
-        """Smaller chunks for dynamic scheduling (several per worker)."""
-        assert self._bounds is not None
-        lo, hi, step = self._bounds(arrays, scalars)
-        total = max(0, -(-(hi - lo) // step))
-        pieces = max(1, self.threads * per_worker)
-        per = max(1, -(-total // pieces))
-        out = []
-        c_lo = lo
-        while c_lo < hi:
-            c_hi = min(hi, c_lo + per * step)
-            out.append((c_lo, c_hi))
-            c_lo = c_hi
-        return out
-
     def run(self, arrays: dict[str, np.ndarray], scalars: dict[str, int]) -> float:
         """Execute once in place; returns the wall time in seconds."""
         t0 = _time.perf_counter()
         if self.threads == 1:
             self._body(arrays, scalars)
-        elif self.schedule == "workstealing":
-            from repro.runtime.tasks import Task, WorkStealingPool
-
-            chunks = self._fine_chunks(arrays, scalars)
-            tasks = [
-                Task(fn=lambda lo=lo, hi=hi: self._body(arrays, scalars, lo, hi))
-                for lo, hi in chunks
-            ]
-            WorkStealingPool(workers=self.threads).run(tasks)
         else:
             chunks = self._chunks(arrays, scalars)
             with ThreadPoolExecutor(max_workers=self.threads) as pool:

@@ -60,12 +60,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -388,7 +383,9 @@ class EvaluationEngine:
 
         Results are bit-identical for any ``max_workers`` and the ledger's
         ``E`` grows by exactly the number of configurations that were new
-        to the target.
+        to the target.  Every record the session computed now lives in the
+        target's ledger, so the session state is dropped on return — on
+        success as on error — and the engine keeps no second copy.
         """
         if self._pending:
             raise RuntimeError("evaluate_batch called with session batches in flight")
@@ -398,9 +395,8 @@ class EvaluationEngine:
             try:
                 batch = self.fused_submit(self.target, configs)
                 self._drain()
-            except BaseException:
+            finally:
                 self.fused_reset()
-                raise
             span.set(**batch.stats.as_dict())
         return batch
 
@@ -559,6 +555,10 @@ class EvaluationEngine:
     def _submit(self, chunk: _Chunk) -> None:
         if self._executor is None:
             if self.backend == "process":
+                # imported on use: multiprocessing stays out of every
+                # thread-backend run's import time
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
             else:
                 self._executor = ThreadPoolExecutor(

@@ -7,13 +7,12 @@ application-specific policies — the default being the weighted-sum rule of
 
 * :mod:`repro.runtime.version_table` — the in-process version table,
 * :mod:`repro.runtime.selection` — selection policies,
-* :mod:`repro.runtime.scheduler` — region executor with dynamic
-  re-selection on context changes (available cores, energy budgets),
+* :mod:`repro.runtime.scheduler` — region executor asking the policy on
+  every invocation, so decisions follow context changes (available cores,
+  energy budgets),
 * :mod:`repro.runtime.monitor` — execution history and system state,
-* :mod:`repro.runtime.compiled` — deterministic policies folded into
-  constant-time precompiled selections,
-* :mod:`repro.runtime.serving` — high-throughput dispatch of a request
-  stream across worker threads.
+* :mod:`repro.runtime.online` — a bandit policy learning from observed
+  wall times.
 """
 
 from repro.runtime.version_table import Version, VersionColumns, VersionTable
@@ -29,23 +28,9 @@ from repro.runtime.selection import (
     WeightedSumPolicy,
     policy_by_name,
 )
-from repro.runtime.compiled import (
-    CompiledSelection,
-    FixedSelection,
-    ThreadCapSelection,
-    compile_policy,
-)
 from repro.runtime.scheduler import RegionExecutor
-from repro.runtime.tasks import Task, WorkStealingPool
 from repro.runtime.online import BanditSelector
-from repro.runtime.monitor import ExecutionRecord, MonitorShard, RuntimeMonitor
-from repro.runtime.serving import (
-    DispatchEngine,
-    DispatchRequest,
-    DispatchResult,
-    Workload,
-    generate_workload,
-)
+from repro.runtime.monitor import ExecutionRecord, RuntimeMonitor
 
 __all__ = [
     "Version",
@@ -61,20 +46,8 @@ __all__ = [
     "GreenestPolicy",
     "EnergyCapPolicy",
     "policy_by_name",
-    "CompiledSelection",
-    "FixedSelection",
-    "ThreadCapSelection",
-    "compile_policy",
     "RegionExecutor",
-    "Task",
-    "WorkStealingPool",
     "BanditSelector",
     "RuntimeMonitor",
-    "MonitorShard",
     "ExecutionRecord",
-    "DispatchEngine",
-    "DispatchRequest",
-    "DispatchResult",
-    "Workload",
-    "generate_workload",
 ]

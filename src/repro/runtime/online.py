@@ -14,8 +14,8 @@ as a policy: exploration happens on real invocations, and the observed
 medians can be folded back via ``executor.recalibrate()``.
 
 Statistics live in NumPy arrays (counts / running means / Welford M2 per
-arm) guarded by one lock, so the serving loop can feed observations from
-many worker threads without losing a single count, and :meth:`select`
+arm) guarded by one lock, so executors on many threads can feed
+observations without losing a single count, and :meth:`select`
 computes every arm's UCB score in **one** vectorized expression instead of
 a per-arm Python loop.  The per-arm loop is kept as the differential
 oracle (``bandit_select_scalar`` in ``tests/oracles.py``) — both read the
@@ -50,9 +50,9 @@ class BanditSelector(SelectionPolicy):
     :param seed: randomness for ε-greedy exploration.
 
     Feed observations with :meth:`observe` (the executor's recorded wall
-    time) or in bulk with :meth:`observe_many`; :meth:`select` then
-    balances exploitation and exploration.  Thread-safe: concurrent
-    ``observe``/``select`` calls never lose an observation and never raise.
+    time); :meth:`select` then balances exploitation and exploration.
+    Thread-safe: concurrent ``observe``/``select`` calls never lose an
+    observation and never raise.
     """
 
     strategy: str = "ucb1"
@@ -107,15 +107,6 @@ class BanditSelector(SelectionPolicy):
             raise ValueError("wall time must be positive")
         with self._lock:
             self._observe_locked(version_index, wall_time)
-
-    def observe_many(self, version_indices, wall_times) -> None:
-        """Record a batch of measurements under a single lock acquisition."""
-        pairs = list(zip(version_indices, wall_times))
-        if any(wall <= 0 for _, wall in pairs):
-            raise ValueError("wall time must be positive")
-        with self._lock:
-            for idx, wall in pairs:
-                self._observe_locked(int(idx), float(wall))
 
     # -- statistics ------------------------------------------------------
 

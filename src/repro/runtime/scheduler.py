@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import DISABLED, Observability
-from repro.runtime.compiled import CompiledSelection, compile_policy
 from repro.runtime.monitor import RuntimeMonitor
 from repro.runtime.selection import SelectionPolicy, WeightedSumPolicy
 from repro.runtime.version_table import Version, VersionTable
@@ -35,54 +34,23 @@ class RegionExecutor:
     :param obs: observability handle — every decision becomes a
         ``runtime.selection`` event (policy, context, chosen version,
         predicted vs. actual time).
-    :param compiled: use the precompiled selection path when the policy
-        supports it (deterministic policies); disable to force the scalar
-        per-call oracle everywhere.
 
-    Deterministic policies are compiled against the frozen table once and
-    every subsequent decision replays the stored result; the cache is keyed
-    on the identity of both the policy object and the table's versions
-    tuple, so :meth:`set_policy` and :meth:`recalibrate` (which builds a new
-    table) invalidate it without any explicit bookkeeping.
+    Every decision asks the policy afresh against the current table and
+    the monitor's context, so :meth:`set_policy`, :meth:`recalibrate` and a
+    changed core count take effect on the next invocation.
     """
 
     table: VersionTable
     policy: SelectionPolicy = field(default_factory=WeightedSumPolicy)
     monitor: RuntimeMonitor = field(default_factory=RuntimeMonitor)
     obs: Observability | None = None
-    compiled: bool = True
-
-    def __post_init__(self) -> None:
-        self._compiled_policy: SelectionPolicy | None = None
-        self._compiled_versions: tuple[Version, ...] | None = None
-        self._compiled_selection: CompiledSelection | None = None
 
     def set_policy(self, policy: SelectionPolicy) -> None:
         self.policy = policy
 
-    def compiled_selection(self) -> CompiledSelection | None:
-        """The policy compiled against the current table (cached), or
-        ``None`` when the policy is stateful or compilation is disabled."""
-        if not self.compiled:
-            return None
-        if (
-            self._compiled_policy is not self.policy
-            or self._compiled_versions is not self.table.versions
-        ):
-            self._compiled_selection = compile_policy(self.policy, self.table)
-            self._compiled_policy = self.policy
-            self._compiled_versions = self.table.versions
-        return self._compiled_selection
-
-    def _select(self) -> Version:
-        compiled = self.compiled_selection()
-        if compiled is not None:
-            return compiled.select(self.monitor.context())
-        return self.policy.select(self.table, self.monitor.context())
-
     def select(self) -> Version:
         """The version the current policy would pick right now."""
-        version = self._select()
+        version = self.policy.select(self.table, self.monitor.context())
         self._emit_selection(version, wall_time=None)
         return version
 
@@ -92,7 +60,7 @@ class RegionExecutor:
         scalars: dict[str, int],
     ) -> Version:
         """Run the selected version on the given data; returns it."""
-        version = self._select()
+        version = self.policy.select(self.table, self.monitor.context())
         clock = self.monitor.clock
         t0 = clock.perf()
         version(arrays, scalars)

@@ -11,14 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.runtime.compiled import (
-    CompiledSelection,
-    FixedSelection,
-    ThreadCapSelection,
-    masked_argmin,
-)
 from repro.runtime.version_table import Version, VersionTable
 
 __all__ = [
@@ -36,20 +28,10 @@ __all__ = [
 
 
 class SelectionPolicy:
-    """Base: maps a version table (+ runtime context) to a version.
-
-    Deterministic policies additionally implement :meth:`compile`, folding
-    themselves into a :class:`~repro.runtime.compiled.CompiledSelection`
-    whose per-call cost is O(1); the scalar :meth:`select` stays in-tree as
-    the differential oracle (compiled and per-call selection sequences must
-    be identical).  Stateful policies leave ``compile`` returning ``None``.
-    """
+    """Base: maps a version table (+ runtime context) to a version."""
 
     def select(self, table: VersionTable, context: dict | None = None) -> Version:
         raise NotImplementedError
-
-    def compile(self, table: VersionTable) -> CompiledSelection | None:
-        return None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -92,16 +74,6 @@ class WeightedSumPolicy(SelectionPolicy):
             + self.w_resources * norm(v.meta.resources, r_lo, r_span),
         )
 
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        cols = table.columns()
-        t, r = cols.times, cols.resources
-        t_span = float(t.max() - t.min())
-        r_span = float(r.max() - r.min())
-        nt = (t - t.min()) / t_span if t_span > 0.0 else np.zeros(len(t))
-        nr = (r - r.min()) / r_span if r_span > 0.0 else np.zeros(len(r))
-        scores = self.w_time * nt + self.w_resources * nr
-        return FixedSelection(table.versions[masked_argmin(scores)])
-
     def describe(self) -> str:
         return f"weighted(w_t={self.w_time}, w_r={self.w_resources})"
 
@@ -113,9 +85,6 @@ class FastestPolicy(SelectionPolicy):
     def select(self, table: VersionTable, context: dict | None = None) -> Version:
         return table.fastest()
 
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        return FixedSelection(table.versions[masked_argmin(table.columns().times)])
-
 
 @dataclass(frozen=True)
 class MostEfficientPolicy(SelectionPolicy):
@@ -123,11 +92,6 @@ class MostEfficientPolicy(SelectionPolicy):
 
     def select(self, table: VersionTable, context: dict | None = None) -> Version:
         return table.most_efficient()
-
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        return FixedSelection(
-            table.versions[masked_argmin(table.columns().resources)]
-        )
 
 
 @dataclass(frozen=True)
@@ -143,13 +107,6 @@ class TimeCapPolicy(SelectionPolicy):
         if not qualifying:
             return table.fastest()
         return min(qualifying, key=lambda v: v.meta.resources)
-
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        cols = table.columns()
-        idx = masked_argmin(cols.resources, cols.times <= self.cap)
-        if idx is None:
-            idx = masked_argmin(cols.times)
-        return FixedSelection(table.versions[idx])
 
     def describe(self) -> str:
         return f"time_cap({self.cap:g}s)"
@@ -175,17 +132,6 @@ class ThreadCapPolicy(SelectionPolicy):
         if not qualifying:
             qualifying = [min(table, key=lambda v: v.meta.threads)]
         return min(qualifying, key=lambda v: v.meta.time)
-
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        if self.cap is None:
-            # cap comes from the runtime context: prefix-best per distinct
-            # thread count, binary-searched per call
-            return ThreadCapSelection(table)
-        cols = table.columns()
-        idx = masked_argmin(cols.times, cols.threads <= self.cap)
-        if idx is None:
-            idx = masked_argmin(cols.threads)
-        return FixedSelection(table.versions[idx])
 
     def describe(self) -> str:
         return f"thread_cap({self.cap if self.cap is not None else 'context'})"
@@ -213,19 +159,6 @@ class EfficiencyFloorPolicy(SelectionPolicy):
             return table.most_efficient()
         return min(qualifying, key=lambda v: v.meta.time)
 
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        cols = table.columns()
-        sequential = cols.threads == 1
-        if not sequential.any():
-            idx = masked_argmin(cols.resources)
-        else:
-            t_seq = cols.times[sequential].min()
-            feasible = (t_seq / cols.times) / cols.threads >= self.floor
-            idx = masked_argmin(cols.times, feasible)
-            if idx is None:
-                idx = masked_argmin(cols.resources)
-        return FixedSelection(table.versions[idx])
-
     def describe(self) -> str:
         return f"efficiency_floor({self.floor:g})"
 
@@ -240,13 +173,6 @@ class GreenestPolicy(SelectionPolicy):
         if not with_energy:
             return table.most_efficient()
         return min(with_energy, key=lambda v: v.meta.energy)
-
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        cols = table.columns()
-        idx = masked_argmin(cols.energies, cols.has_energy)
-        if idx is None:
-            idx = masked_argmin(cols.resources)
-        return FixedSelection(table.versions[idx])
 
 
 @dataclass(frozen=True)
@@ -263,17 +189,6 @@ class EnergyCapPolicy(SelectionPolicy):
         if not qualifying:
             return GreenestPolicy().select(table, context)
         return min(qualifying, key=lambda v: v.meta.time)
-
-    def compile(self, table: VersionTable) -> CompiledSelection:
-        cols = table.columns()
-        # NaN marks missing energy metadata; substitute +inf so the
-        # comparison never touches a NaN
-        energies = np.where(cols.has_energy, cols.energies, np.inf)
-        feasible = energies <= self.cap
-        idx = masked_argmin(cols.times, feasible)
-        if idx is None:
-            return GreenestPolicy().compile(table)
-        return FixedSelection(table.versions[idx])
 
     def describe(self) -> str:
         return f"energy_cap({self.cap:g}J)"

@@ -37,43 +37,22 @@ class Version:
 
 @dataclass(frozen=True)
 class VersionColumns:
-    """The table's metadata as column vectors (version-table order).
-
-    The frozen, dictionary-free view the precompiled selection path scores
-    against: one float64 vector per objective, ``np.nan`` marking versions
-    without energy metadata.  Arrays are read-only — they are shared by
-    every compiled policy of the owning table.
-    """
+    """The table's metadata as read-only column vectors (version-table
+    order) — what :class:`~repro.runtime.online.BanditSelector` scores its
+    arms against without touching per-version objects."""
 
     indices: np.ndarray
     times: np.ndarray
-    resources: np.ndarray
-    threads: np.ndarray
-    energies: np.ndarray
 
     @classmethod
     def of(cls, versions: tuple[Version, ...]) -> "VersionColumns":
         cols = cls(
             indices=np.array([v.meta.index for v in versions], dtype=np.int64),
             times=np.array([v.meta.time for v in versions], dtype=float),
-            resources=np.array([v.meta.resources for v in versions], dtype=float),
-            threads=np.array([v.meta.threads for v in versions], dtype=np.int64),
-            energies=np.array(
-                [
-                    np.nan if v.meta.energy is None else v.meta.energy
-                    for v in versions
-                ],
-                dtype=float,
-            ),
         )
-        for arr in (cols.indices, cols.times, cols.resources, cols.threads,
-                    cols.energies):
+        for arr in (cols.indices, cols.times):
             arr.setflags(write=False)
         return cols
-
-    @property
-    def has_energy(self) -> np.ndarray:
-        return ~np.isnan(self.energies)
 
 
 @dataclass
@@ -83,10 +62,10 @@ class VersionTable:
     The ``versions`` tuple is treated as frozen: derived artifacts
     (:meth:`columns`, :meth:`objective_points`, :meth:`archive`) are
     computed once and cached against the tuple's identity, so per-call
-    consumers (the precompiled selection path scores every policy against
-    :meth:`columns`) never rebuild arrays.  Replacing ``versions`` — the
-    executor's ``recalibrate`` builds a whole new table — invalidates every
-    cache automatically.
+    consumers (the bandit scores its arms against :meth:`columns`) never
+    rebuild arrays.  Replacing ``versions`` — the executor's
+    ``recalibrate`` builds a whole new table — invalidates every cache
+    automatically.
     """
 
     region_name: str

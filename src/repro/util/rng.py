@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["spawn_seed", "seed_hasher", "spawn_seed_from", "derive_rng"]
+__all__ = ["spawn_seed", "seed_hasher", "derive_rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -26,23 +26,17 @@ def spawn_seed(parent: int, *keys: object) -> int:
     blake2b rather than ``hash()``).  Distinct key tuples give independent
     64-bit seeds.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(parent) & _MASK64).encode())
-    for key in keys:
-        h.update(b"\x00")
-        h.update(repr(key).encode())
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(seed_hasher(parent, *keys).digest(), "little")
 
 
 def seed_hasher(parent: int, *keys: object) -> "hashlib.blake2b":
-    """A reusable hash prefix for deriving many sibling seeds.
+    """The blake2b state :func:`spawn_seed` digests, before digesting.
 
-    ``spawn_seed(parent, a, b)`` rehashes the full ``(parent, a)`` prefix
-    for every ``b``.  Batch callers (the simulator hashes one seed per
-    (configuration, repetition) pair) instead hash the common prefix once
-    and fork per suffix with :func:`spawn_seed_from`, which feeds blake2b
-    the identical byte stream — the derived seeds are bit-identical to
-    :func:`spawn_seed`, only the redundant prefix work disappears.
+    Batch callers (the simulator derives one seed per (configuration,
+    repetition) pair) hash the common prefix once and ``copy()`` it per
+    suffix, appending a NUL separator and ``repr(key)`` for each further
+    key — the same byte stream, so the derived seeds are bit-identical to
+    :func:`spawn_seed` without rehashing the prefix.
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(str(int(parent) & _MASK64).encode())
@@ -50,18 +44,6 @@ def seed_hasher(parent: int, *keys: object) -> "hashlib.blake2b":
         h.update(b"\x00")
         h.update(repr(key).encode())
     return h
-
-
-def spawn_seed_from(prefix: "hashlib.blake2b", *keys: object) -> int:
-    """Finish a :func:`seed_hasher` prefix with trailing *keys*.
-
-    ``spawn_seed_from(seed_hasher(p, a), b) == spawn_seed(p, a, b)``.
-    """
-    h = prefix.copy()
-    for key in keys:
-        h.update(b"\x00")
-        h.update(repr(key).encode())
-    return int.from_bytes(h.digest(), "little")
 
 
 def derive_rng(parent: int | np.random.Generator | None, *keys: object) -> np.random.Generator:

@@ -521,7 +521,7 @@ def run_lockstep(tuner: MultiRegionTuner, seed: int = 0) -> MultiRegionResult:
         st.batch = st.problem.evaluation_engine.evaluate_batch(
             st.problem.config_keys(st.values)
         )
-        st.absorb(obs)
+        st.advance(obs)
 
     while any(not st.finished for st in states):
         for st in states:
@@ -532,7 +532,7 @@ def run_lockstep(tuner: MultiRegionTuner, seed: int = 0) -> MultiRegionResult:
             st.batch = st.problem.evaluation_engine.evaluate_batch(
                 st.problem.config_keys(st.values)
             )
-            st.absorb(obs)
+            st.advance(obs)
 
     stats = EngineStats()
     for st in states:

@@ -192,6 +192,30 @@ class TestBadInput:
         assert proc.stdout == ""
 
 
+class TestImportFootprint:
+    def test_cli_import_leaves_out_the_process_pool(self):
+        """Only ``--eval-backend process`` needs multiprocessing, so a
+        fresh ``import repro.cli`` must not load it."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m == 'multiprocessing' "
+            "or m.startswith('multiprocessing.') "
+            "or m == 'concurrent.futures.process'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestReport:
     def test_report_to_file(self, tmp_path, monkeypatch):
         # shrink the report's problem size for test speed by reusing the

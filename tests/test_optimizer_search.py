@@ -375,6 +375,31 @@ class TestBaselines:
         with pytest.raises(KeyError):
             data.best_for_threads(39)
 
+    def test_brute_force_session_keeps_no_second_ledger(self):
+        """A sweep is a one-batch engine session: every record it computed
+        lands in the target's ledger and the engine keeps no copy.  E and
+        the front still match a per-configuration evaluation of the grid."""
+        import itertools
+
+        from repro.optimizer.pareto import non_dominated_mask
+
+        grid = {v: [8, 64, 256] for v in "ijk"}
+        p = make_problem(seed=15)
+        res, _ = brute_force_search(p, grid, [1, 10])
+        assert p.evaluation_engine._fused_results == {}
+        assert not p.evaluation_engine.fused_active
+        assert res.evaluations == p.evaluations == 54
+
+        ref = make_problem(seed=15).target
+        objs = np.array([
+            ref.evaluate(dict(zip("ijk", tiles)), threads).vector()
+            for threads in (1, 10)
+            for tiles in itertools.product(*grid.values())
+        ])
+        front = sorted(map(tuple, objs[non_dominated_mask(objs)].tolist()))
+        assert sorted(c.objectives for c in res.front) == front
+        assert ref.evaluations == 54
+
     def test_brute_force_missing_axis_rejected(self):
         p = make_problem(seed=17)
         with pytest.raises(KeyError):

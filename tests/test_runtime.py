@@ -384,18 +384,6 @@ class TestWeightedSumDegenerate:
         t = VersionTable("x", tuple(Version(meta=m) for m in metas))
         assert WeightedSumPolicy(0.9, 0.1).select(t).meta.index == 2
 
-    def test_compiled_agrees_on_degenerate_tables(self):
-        from repro.runtime import compile_policy
-
-        for metas in (
-            [meta(0, 0.5, 2)],
-            [meta(i, 0.5, 2, resources=1.0) for i in range(4)],
-            [meta(0, 0.5, 4), meta(1, 0.5, 2), meta(2, 0.5, 1)],
-        ):
-            t = VersionTable("x", tuple(Version(meta=m) for m in metas))
-            for policy in (WeightedSumPolicy(), WeightedSumPolicy(0.9, 0.1)):
-                assert compile_policy(policy, t).select({}) is policy.select(t)
-
 
 class TestVersionTableCaches:
     def test_columns_cached_and_read_only(self, table):
@@ -433,111 +421,7 @@ class TestVersionTableCaches:
         assert table.hypervolume() == hv
 
 
-class TestCompiledExecutor:
-    def test_compiled_selection_cached_by_identity(self, table):
-        ex = RegionExecutor(table, policy=FastestPolicy())
-        c = ex.compiled_selection()
-        assert c is not None
-        assert ex.compiled_selection() is c
-
-    def test_set_policy_invalidates(self, table):
-        ex = RegionExecutor(table, policy=FastestPolicy())
-        assert ex.select().meta.index == 0
-        ex.set_policy(MostEfficientPolicy())
-        assert ex.select().meta.index == 4
-
-    def test_disabled_compilation_forces_oracle(self, table):
-        ex = RegionExecutor(table, policy=FastestPolicy(), compiled=False)
-        assert ex.compiled_selection() is None
-        assert ex.select().meta.index == 0
-
-    def test_compiled_and_oracle_selections_agree(self, table):
-        for policy in (
-            FastestPolicy(),
-            MostEfficientPolicy(),
-            WeightedSumPolicy(),
-            TimeCapPolicy(0.2),
-            ThreadCapPolicy(),
-            EfficiencyFloorPolicy(),
-        ):
-            fast = RegionExecutor(table, policy=policy)
-            slow = RegionExecutor(table, policy=policy, compiled=False)
-            for cores in (None, 2, 10, 40):
-                if cores is not None:
-                    fast.monitor.set_available_cores(cores)
-                    slow.monitor.set_available_cores(cores)
-                assert fast.select() is slow.select(), (policy, cores)
-
-    def test_recalibrate_invalidates_compiled_cache(self, table):
-        """After recalibrate() builds a new table, the stale compiled
-        decision must not survive: observed times flip the fastest
-        version."""
-        ex = RegionExecutor(table, policy=FastestPolicy())
-        assert ex.select().meta.index == 0
-        before = ex.compiled_selection()
-        # production says v0 is actually slow and v2 is very fast
-        for _ in range(3):
-            ex.monitor.record("mm", 0, 40, 0.05, 0.9)
-            ex.monitor.record("mm", 2, 10, 0.14, 0.01)
-        assert ex.recalibrate() == 2
-        assert ex.compiled_selection() is not before
-        assert ex.select().meta.index == 2
-
-
 class TestMonitorBatching:
-    def test_observe_many_matches_sequential_records(self):
-        from repro.obs import FakeClock
-
-        a = RuntimeMonitor(clock=FakeClock(t=5.0))
-        b = RuntimeMonitor(clock=FakeClock(t=5.0))
-        obs = [("mm", i % 3, 2, 0.1, 0.1 * (i + 1)) for i in range(10)]
-        for o in obs:
-            a.record(*o)
-        assert b.observe_many(obs) == 10
-        assert a.selections() == b.selections()
-        assert a.version_counts() == b.version_counts()
-        assert a.total_cpu_seconds() == pytest.approx(b.total_cpu_seconds())
-        # the batch shares one timestamp
-        assert len({r.timestamp for r in b.records()}) == 1
-
-    def test_observe_many_empty(self):
-        assert RuntimeMonitor().observe_many([]) == 0
-
-    def test_shard_buffers_and_flushes(self):
-        m = RuntimeMonitor()
-        shard = m.shard(capacity=4)
-        for i in range(10):
-            shard.observe("mm", 0, 2, 0.1, 0.1)
-        # two automatic flushes at capacity, 2 left buffered
-        assert shard.flushes == 2
-        assert m.invocations == 8
-        assert len(shard) == 2
-        assert shard.flush() == 2
-        assert m.invocations == 10
-        assert shard.flush() == 0
-
-    def test_shard_capacity_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeMonitor().shard(capacity=0)
-
-    def test_absorb_keeps_totals_exact_without_history(self):
-        m = RuntimeMonitor()
-        m.absorb("mm", 1, 4, count=1000, cpu_seconds=40.0)
-        m.absorb("mm", 2, 2, count=500, cpu_seconds=10.0)
-        assert m.invocations == 1500
-        assert m.total_cpu_seconds() == pytest.approx(50.0)
-        assert m.version_counts() == {("mm", 1): 1000, ("mm", 2): 500}
-        assert m.records() == []
-
-    def test_history_limit_preserves_aggregates(self):
-        m = RuntimeMonitor(history_limit=5)
-        for i in range(20):
-            m.record("mm", i % 2, 2, 0.1, 0.1)
-        assert len(m.records()) == 5
-        assert m.invocations == 20
-        assert m.version_counts() == {("mm", 0): 10, ("mm", 1): 10}
-        assert m.total_cpu_seconds() == pytest.approx(20 * 0.1 * 2)
-
     def test_preseeded_history_counts_in_aggregates(self):
         seed = [
             ExecutionRecord("mm", 0, 2, 0.1, 0.2, 0.0),
@@ -554,10 +438,8 @@ class TestMonitorBatching:
         per_thread, n_threads = 500, 8
 
         def run(tid):
-            shard = m.shard(capacity=37)
             for i in range(per_thread):
-                shard.observe("mm", tid % 3, 2, 0.1, 0.1)
-            shard.flush()
+                m.record("mm", tid % 3, 2, 0.1, 0.1)
 
         threads = [
             threading.Thread(target=run, args=(t,)) for t in range(n_threads)
@@ -567,7 +449,12 @@ class TestMonitorBatching:
         for t in threads:
             t.join()
         assert m.invocations == per_thread * n_threads
-        assert sum(m.version_counts().values()) == per_thread * n_threads
+        assert len(m.records()) == per_thread * n_threads
+        assert m.version_counts() == {
+            ("mm", 0): 3 * per_thread,
+            ("mm", 1): 3 * per_thread,
+            ("mm", 2): 2 * per_thread,
+        }
 
 
 class TestRecalibrateConcurrent:

@@ -169,36 +169,3 @@ class TestTable:
         t.add_row(["looooooooong"])
         lines = t.render().splitlines()
         assert len(lines[0]) == len(lines[2])
-
-
-class TestSeedHasherPrefix:
-    """spawn_seed_from(seed_hasher(parent, a), b) must be bit-identical to
-    spawn_seed(parent, a, b): the prefix copy feeds blake2b the exact same
-    byte stream, so batched derivation can skip rehashing the prefix."""
-
-    def test_prefix_equals_full_spawn(self):
-        from repro.util.rng import seed_hasher, spawn_seed_from
-
-        for parent in (0, 1, 42, 2**63):
-            prefix = seed_hasher(parent, "key")
-            for rep in range(20):
-                assert spawn_seed_from(prefix, rep) == spawn_seed(
-                    parent, "key", rep
-                )
-
-    def test_multi_key_prefix(self):
-        from repro.util.rng import seed_hasher, spawn_seed_from
-
-        prefix = seed_hasher(7, (1, 2, 3), "x")
-        assert spawn_seed_from(prefix, 9, "tail") == spawn_seed(
-            7, (1, 2, 3), "x", 9, "tail"
-        )
-
-    def test_prefix_is_reusable(self):
-        from repro.util.rng import seed_hasher, spawn_seed_from
-
-        prefix = seed_hasher(3, "a")
-        first = spawn_seed_from(prefix, 0)
-        second = spawn_seed_from(prefix, 1)
-        assert first == spawn_seed(3, "a", 0)
-        assert second == spawn_seed(3, "a", 1)
